@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -210,29 +212,27 @@ def parse_scene(section: dict) -> tuple[SinusoidScene, int]:
     return scene, int(section.get("seed", 0))
 
 
+def _parse_dataclass(cls, section: dict):
+    """Build a config dataclass from its section.  Keys left out take the
+    dataclass's own defaults; int, float and bool fields are converted, other
+    values pass through.  A missing required key raises KeyError."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in section:
+            kind, value = hints[f.name], section[f.name]
+            kwargs[f.name] = kind(value) if kind in (int, float, bool) else value
+        elif f.default is MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
+
+
 def parse_sampler_config(section: dict) -> SamplerConfig:
-    return SamplerConfig(
-        n_sweeps=int(section["n_sweeps"]),
-        burn_in=int(section.get("burn_in", 0)),
-        thinning=int(section.get("thinning", 1)),
-        k_max=int(section.get("k_max", 20)),
-        lambda_k=float(section.get("lambda_k", 1.0)),
-        delta2=float(section.get("delta2", 50.0)),
-        sample_delta2=bool(section.get("sample_delta2", False)),
-        rw_scale=section.get("rw_scale"),
-        periodogram_grid=section.get("periodogram_grid"),
-        seed=int(section.get("seed", 0)),
-    )
+    return _parse_dataclass(SamplerConfig, section)
 
 
 def parse_sem_config(section: dict) -> SemConfig:
-    return SemConfig(
-        n_iterations=int(section.get("n_iterations", 50)),
-        init_percentile=float(section.get("init_percentile", 0.90)),
-        inner_imh_steps=int(section.get("inner_imh_steps", 5)),
-        seed=int(section.get("seed", 0)),
-        averaging_window=int(section.get("averaging_window", 10)),
-    )
+    return _parse_dataclass(SemConfig, section)
 
 
 def load_config(path) -> dict:

@@ -245,7 +245,15 @@ def _log_marginal_batch(thetas: np.ndarray, model: SummaryModel) -> np.ndarray:
 
     ``thetas`` has shape (n, k).  The sum over admissible allocations is
     computed exactly by dynamic programming over subsets of used Gaussian
-    labels, in the log domain; cost is O(n * k * 2^L * L).
+    labels, in the log domain.  After j points, g[i, mask] is the log density
+    of sample i's first j points summed over the allocations that use
+    exactly the Gaussian labels in ``mask``.  Viewed as (n, 2, ..., 2), bit l
+    of the mask is axis L - l, so giving point j label l is one ``logaddexp``
+    over the half of the table that has bit l.
+    Cost: n * k * L * 2^(L-1) log-add-exps in k * L numpy calls.  Labels are
+    added in ascending order, so every mask accumulates its terms in the
+    same order as the per-mask loop kept in the tests, and the result is
+    bit-identical to it.
     """
     n, k = thetas.shape
     L = model.n_components
@@ -264,16 +272,20 @@ def _log_marginal_batch(thetas: np.ndarray, model: SummaryModel) -> np.ndarray:
         - (thetas[:, :, None] - mus[None, None, :]) ** 2 / (2.0 * s2s)[None, None, :]
     )
 
-    n_subsets = 1 << L
-    g = np.full((n, n_subsets), -np.inf)
+    g = np.full((n, 1 << L), -np.inf)
     g[:, 0] = 0.0
+    bits = (n,) + (2,) * L
+    column = (n,) + (1,) * (L - 1)
     for j in range(k):
         new = g + log_eta  # extend every partial allocation with a background label
-        for s in range(n_subsets):
-            for l in range(L):
-                bit = 1 << l
-                if s & bit:
-                    new[:, s] = np.logaddexp(new[:, s], g[:, s ^ bit] + log_n[:, j, l])
+        g_bits = g.reshape(bits)
+        new_bits = new.reshape(bits)
+        for l in range(L):
+            axes = (slice(None),) * (L - l)
+            has = new_bits[axes + (1,)]  # a view: written in place
+            np.logaddexp(
+                has, g_bits[axes + (0,)] + log_n[:, j, l].reshape(column), out=has
+            )
         g = new
 
     g = g + _subset_log_priors(model)[None, :]

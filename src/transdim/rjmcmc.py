@@ -514,8 +514,10 @@ class _Engine:
         self._update_pass()
         if self.config.sample_delta2:
             self._delta2_move()
-        assert 0 <= self.k <= self.config.k_max
-        assert all(0.0 < w < math.pi for w in self.omegas)
+        if not 0 <= self.k <= self.config.k_max:
+            raise RuntimeError(f"chain left 0 <= k <= k_max: k = {self.k}")
+        if not all(0.0 < w < math.pi for w in self.omegas):
+            raise RuntimeError(f"chain frequency outside (0, pi): {list(self.omegas)}")
 
     def acceptance_report(self) -> dict:
         report = {}

@@ -11,6 +11,7 @@ of the last few iterates, with components sorted by mean.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,6 +274,11 @@ def run_sem(samples: SampleSet, config: SemConfig) -> tuple[SummaryModel, SemTra
     cached densities are refreshed whenever the model changes.  The returned
     model is the component-wise median of the last ``averaging_window``
     iterates, sorted by mean.  The run is a pure function of (samples, seed).
+
+    Each iteration's criterion J (``SemIterationRecord.j_value``) is computed
+    on one worker thread, beside the next iteration's S-step, and is
+    bit-identical to ``criterion(samples, record.model)`` computed inline.  An
+    error in it is raised from this call; the worker ends with the call.
     """
     m = len(samples)
     L = choose_L(samples, config.init_percentile)
@@ -291,47 +297,57 @@ def run_sem(samples: SampleSet, config: SemConfig) -> tuple[SummaryModel, SemTra
         lc = _batch_log_completed(labels, log_n, model)
         states[k] = [labels, lc, lq]
 
-    records: list[SemIterationRecord] = []
-    for r in range(config.n_iterations):
-        # S-step
-        for k in sorted(groups):
-            _, thetas = groups[k]
-            labels, lc, lq = states[k]
-            log_n = _log_gauss_matrix(thetas, model)
-            log_w = _log_weight_matrix(log_n, model)
-            if r > 0:
-                # Model changed in the last M-step: recompute the completed
-                # density and re-score the kept labels under a fresh uniform
-                # visit order (a Gibbs refresh of the order variable).
-                lc = _batch_log_completed(labels, log_n, model)
-                _, lq = _batch_propose(
-                    log_w, model.eta, rng, mode="follow", follow=labels
-                )
-            for _ in range(config.inner_imh_steps):
-                labels, lc, lq, _ = _batch_imh_step(
-                    labels, lc, lq, log_w, log_n, model, rng
-                )
-            states[k] = [labels, lc, lq]
+    pending = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for r in range(config.n_iterations):
+            # S-step
+            for k in sorted(groups):
+                _, thetas = groups[k]
+                labels, lc, lq = states[k]
+                log_n = _log_gauss_matrix(thetas, model)
+                log_w = _log_weight_matrix(log_n, model)
+                if r > 0:
+                    # Model changed in the last M-step: recompute the completed
+                    # density and re-score the kept labels under a fresh uniform
+                    # visit order (a Gibbs refresh of the order variable).
+                    lc = _batch_log_completed(labels, log_n, model)
+                    _, lq = _batch_propose(
+                        log_w, model.eta, rng, mode="follow", follow=labels
+                    )
+                for _ in range(config.inner_imh_steps):
+                    labels, lc, lq, _ = _batch_imh_step(
+                        labels, lc, lq, log_w, log_n, model, rng
+                    )
+                states[k] = [labels, lc, lq]
 
-        # M-step
-        theta_flat = np.concatenate(
-            [groups[k][1].ravel() for k in sorted(groups)]
-        ) if total_points else np.empty(0)
-        label_flat = np.concatenate(
-            [states[k][0].ravel() for k in sorted(groups)]
-        ) if total_points else np.empty(0, dtype=np.int64)
-        model = _m_step_flat(theta_flat, label_flat, m, model, S_MIN)
+            # M-step
+            theta_flat = np.concatenate(
+                [groups[k][1].ravel() for k in sorted(groups)]
+            ) if total_points else np.empty(0)
+            label_flat = np.concatenate(
+                [states[k][0].ravel() for k in sorted(groups)]
+            ) if total_points else np.empty(0, dtype=np.int64)
+            model = _m_step_flat(theta_flat, label_flat, m, model, S_MIN)
 
-        counts = tuple(
-            int((label_flat == l).sum()) for l in range(1, L + 1)
-        )
-        background = int((label_flat == 0).sum())
-        assert sum(counts) + background == total_points
-        records.append(
-            SemIterationRecord(
-                model, _criterion_grouped(groups, m, model), counts, background
+            counts = tuple(
+                int((label_flat == l).sum()) for l in range(1, L + 1)
             )
-        )
+            background = int((label_flat == 0).sum())
+            if sum(counts) + background != total_points:
+                raise RuntimeError(
+                    f"S-step lost points: {sum(counts) + background} labelled "
+                    f"of {total_points}"
+                )
+            # J only fills the trace: it runs on the worker beside the next
+            # S-step, reading the grouped draws and this immutable model.
+            pending.append(
+                (model, pool.submit(_criterion_grouped, groups, m, model),
+                 counts, background)
+            )
+        records = [
+            SemIterationRecord(it_model, j_value.result(), it_counts, it_background)
+            for it_model, j_value, it_counts, it_background in pending
+        ]
 
     # Final estimate: component-wise median over the averaging window.
     window = records[-min(config.averaging_window, len(records)):]

@@ -58,6 +58,8 @@ from test_rjmcmc import (
     target_q,
 )
 
+pytestmark = pytest.mark.slow  # the quick suite is `pytest -m "not slow"`
+
 # ---------------------------------------------------------------------------
 # Flagship scene: three sinusoids, the middle one weak, at 7 dB.
 # Phases are a free choice (alternating signs maximize the energy a

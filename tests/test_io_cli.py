@@ -7,11 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transdim import (
     AllocationVector,
     GaussianComponent,
     SampleSet,
+    SamplerConfig,
+    SemConfig,
     SummaryModel,
     VariableDimSample,
 )
@@ -42,7 +46,10 @@ SMALL_CONFIG = {
 NOISE_CONFIG = {
     "format_version": 1,
     "scene": {"n": 32, "amplitudes": [], "omegas": [], "sigma2": 1.0, "seed": 5},
-    "sampler": {"n_sweeps": 800, "burn_in": 200, "thinning": 3, "k_max": 5, "seed": 6},
+    # The priors the pure-noise bounds below hold under: p(k = 0) = 0.92.  With
+    # SamplerConfig's lambda_k = 2, delta2 = 10, p(k <= 2) = 0.86 and L = 3.
+    "sampler": {"n_sweeps": 800, "burn_in": 200, "thinning": 3, "k_max": 5,
+                "lambda_k": 1.0, "delta2": 50.0, "seed": 6},
     "sem": {"n_iterations": 4, "averaging_window": 2, "seed": 7},
     "report": {"bins": 32},
 }
@@ -286,3 +293,19 @@ def test_cli_bad_config_fails_with_stage_code(tmp_path):
     runner = CliRunner()
     r = runner.invoke(main, ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert r.exit_code != 0
+
+
+@given(st.integers(1, 10**7))
+def test_config_sections_default_to_the_dataclasses(n_sweeps):
+    assert tdio.parse_sampler_config({"n_sweeps": n_sweeps}) == SamplerConfig(n_sweeps=n_sweeps)
+    assert tdio.parse_sem_config({}) == SemConfig()
+
+
+def test_config_section_types_and_required_key():
+    cfg = tdio.parse_sampler_config(
+        {"n_sweeps": "40", "lambda_k": 3, "sample_delta2": 1, "rw_scale": 0.01}
+    )
+    assert (cfg.n_sweeps, cfg.lambda_k, cfg.sample_delta2, cfg.rw_scale) == (40, 3.0, True, 0.01)
+    assert type(cfg.lambda_k) is float
+    with pytest.raises(KeyError, match="n_sweeps"):
+        tdio.parse_sampler_config({"burn_in": 5})

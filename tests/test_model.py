@@ -19,6 +19,7 @@ from transdim import (
     log_density_marginal,
     simulate_sample_set,
 )
+from transdim.model import _LOG_2PI, _log_marginal_batch, _subset_log_priors
 
 LOG_STD_NORMAL_MODE = -0.5 * math.log(2.0 * math.pi)
 
@@ -257,6 +258,79 @@ def test_marginal_small_normalization_quadrature():
             )
     total += float(w @ vals2 @ w)
     assert total == pytest.approx(1.0, abs=1e-3)
+
+
+def loop_log_marginal_batch(thetas, m):
+    """Reference for ``_log_marginal_batch``: the same subset DP with one
+    ``logaddexp`` per (point, mask, label), masks and labels in ascending
+    order."""
+    n, k = thetas.shape
+    L = m.n_components
+    lam0 = m.lam0
+    log_eta = math.log(m.eta) if m.eta > 0.0 else -math.inf
+    if L == 0:
+        core = k * log_eta if k > 0 else 0.0
+        return np.full(n, core - lam0 - math.lgamma(k + 1))
+    mus = np.array([c.mu for c in m.components])
+    s2s = np.array([c.s2 for c in m.components])
+    log_n = (
+        -0.5 * (_LOG_2PI + np.log(s2s))[None, None, :]
+        - (thetas[:, :, None] - mus[None, None, :]) ** 2 / (2.0 * s2s)[None, None, :]
+    )
+    n_subsets = 1 << L
+    g = np.full((n, n_subsets), -np.inf)
+    g[:, 0] = 0.0
+    for j in range(k):
+        new = g + log_eta
+        for s in range(n_subsets):
+            for l in range(L):
+                bit = 1 << l
+                if s & bit:
+                    new[:, s] = np.logaddexp(new[:, s], g[:, s ^ bit] + log_n[:, j, l])
+        g = new
+    g = g + _subset_log_priors(m)[None, :]
+    top = np.max(g, axis=1)
+    with np.errstate(invalid="ignore"):
+        total = np.where(
+            np.isfinite(top),
+            top + np.log(np.sum(np.exp(g - top[:, None]), axis=1)),
+            -np.inf,
+        )
+    return total - lam0 - math.lgamma(k + 1)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_log_marginal_batch_bitwise_equals_loop(data):
+    L = data.draw(st.integers(0, 8), label="L")
+    k = data.draw(st.integers(0, 9), label="k")
+    n = data.draw(st.integers(1, 4), label="n")
+    eta = data.draw(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)), label="eta")
+    certain = data.draw(st.sets(st.integers(0, 7), max_size=2), label="pi=1 labels")
+    far = data.draw(st.booleans(), label="far")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if far:  # every point 1.1-2.9 rad from components of sd <= 0.02
+        mus = rng.uniform(0.1, 0.5, L)
+        sds = rng.uniform(0.005, 0.02, L)
+        thetas = rng.uniform(1.6, 3.0, (n, k))
+    else:
+        mus = rng.uniform(0.2, 2.9, L)
+        sds = rng.uniform(0.01, 0.5, L)
+        thetas = rng.uniform(0.05, 3.1, (n, k))
+    m = SummaryModel(
+        tuple(
+            comp(mu, sd * sd, 1.0 if l in certain else rng.uniform(0.05, 0.99))
+            for l, (mu, sd) in enumerate(zip(mus, sds))
+        ),
+        eta,
+    )
+    got = _log_marginal_batch(thetas, m)
+    assert got.shape == (n,)
+    assert np.array_equal(got, loop_log_marginal_batch(thetas, m))
+    if far and eta == 0.0 and L:
+        # rows are -inf (k > L, or a certain component left absent) or at
+        # least 1e3 per point below zero
+        assert np.all((got == -np.inf) | (got < -1e3 * k))
 
 
 # ---------------------------------------------------------------------------

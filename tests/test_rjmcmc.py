@@ -479,8 +479,22 @@ def test_boundary_k_never_exceeds_kmax():
     scene = reference_scene()
     y = synthesize_signal(scene, seed=11)
     config = SamplerConfig(n_sweeps=2000, k_max=1, seed=2)
-    samples, _ = run_sampler(y, config)  # engine asserts 0 <= k <= k_max per sweep
+    samples, _ = run_sampler(y, config)  # engine checks 0 <= k <= k_max per sweep
     assert max(s.k for s in samples.samples) <= 1
+
+
+def test_sweep_invariant_checks_raise(monkeypatch):
+    """The per-sweep state checks raise (and so survive python -O)."""
+    monkeypatch.setattr(_Engine, "_dimension_move", lambda self: None)
+    monkeypatch.setattr(_Engine, "_update_pass", lambda self: None)
+    y = synthesize_signal(reference_scene(), seed=11)
+    engine = _Engine(y, SamplerConfig(n_sweeps=10, k_max=1), np.random.default_rng(0))
+    engine.k = 2
+    with pytest.raises(RuntimeError, match="k_max"):
+        engine.sweep()
+    engine.k, engine.omegas = 1, np.array([3.5])
+    with pytest.raises(RuntimeError, match=r"outside \(0, pi\)"):
+        engine.sweep()
 
 
 def test_single_sweep_is_deterministic_and_valid():

@@ -1,8 +1,12 @@
 """SEM estimator: initialization, robust estimates, M-step, criterion, driver."""
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
+
+from transdim import sem
 
 from transdim import (
     AllocationVector,
@@ -310,6 +314,79 @@ def test_run_sem_handles_all_empty_samples():
     assert model.n_components == 0
     assert model.eta == 0.0
     assert trace.iterations[-1].j_value == pytest.approx(0.0)
+
+
+def run_bounded(fn, timeout=120.0):
+    """Run fn() on a helper thread and fail if it has not returned within
+    ``timeout`` seconds; re-raise what it raised."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # handed to the test thread below
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"call did not finish within {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def three_component_draws():
+    true = SummaryModel(
+        (comp(0.6, 0.03**2, 0.9), comp(1.4, 0.05**2, 0.7), comp(2.3, 0.04**2, 0.8)),
+        eta=0.05,
+    )
+    return simulate_sample_set(true, 400, np.random.default_rng(51))
+
+
+def test_run_sem_j_values_equal_inline_criterion():
+    ss = three_component_draws()
+    threads_before = threading.active_count()
+    _, trace = run_bounded(
+        lambda: run_sem(ss, SemConfig(n_iterations=6, seed=2, averaging_window=3))
+    )
+    assert threading.active_count() == threads_before  # the J worker has ended
+    assert trace.iterations[0].model.n_components == 3
+    for rec in trace.iterations:
+        assert rec.j_value == criterion(ss, rec.model)
+
+
+def test_run_sem_raises_criterion_error_and_leaves_no_thread(monkeypatch):
+    ss = three_component_draws()
+    real = sem._criterion_grouped
+    calls = itertools.count(1)
+
+    def fails_on_third_call(*args):
+        if next(calls) == 3:
+            raise ArithmeticError("injected criterion failure")
+        return real(*args)
+
+    monkeypatch.setattr(sem, "_criterion_grouped", fails_on_third_call)
+    threads_before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="injected criterion failure"):
+        run_bounded(lambda: run_sem(ss, SemConfig(n_iterations=6, seed=2)))
+    assert threading.active_count() == threads_before
+
+
+def test_run_sem_lost_points_raise(monkeypatch):
+    """The label-conservation check raises (and so survives python -O)."""
+    ss = three_component_draws()
+    real = sem._batch_imh_step
+
+    def label_out_of_range(labels, *args):
+        out = real(labels, *args)
+        return (np.full_like(out[0], 99),) + out[1:]
+
+    monkeypatch.setattr(sem, "_batch_imh_step", label_out_of_range)
+    with pytest.raises(RuntimeError, match="lost points"):
+        run_bounded(
+            lambda: run_sem(ss, SemConfig(n_iterations=1, inner_imh_steps=1))
+        )
 
 
 def test_sem_config_validation():
