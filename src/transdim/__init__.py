@@ -6,13 +6,7 @@ a Bernoulli-Gaussian summary model (with a Poisson background component) by
 a robustified stochastic-EM algorithm.
 """
 
-from .allocation import (
-    AllocationChainState,
-    exact_allocation_posterior,
-    imh_kernel,
-    init_allocation_state,
-    propose_allocation,
-)
+from .allocation import exact_allocation_posterior
 from .errors import (
     DegenerateDataError,
     EnumerationCapError,
@@ -29,20 +23,15 @@ from .model import (
     count_allocations,
     enumerate_allocations,
     log_density_completed,
-    log_density_marginal,
     simulate_sample_set,
 )
 from .rjmcmc import (
-    ChainState,
     SamplerConfig,
     SinusoidScene,
     build_scene,
     design_matrix,
     log_target,
-    merge_sample_sets,
-    rjmcmc_sweep,
     run_sampler,
-    sample_amplitudes,
     synthesize_signal,
 )
 from .report import bma_intensity, bms_summary, background_intensity
@@ -58,9 +47,7 @@ from .sem import (
 )
 
 __all__ = [
-    "AllocationChainState",
     "AllocationVector",
-    "ChainState",
     "DegenerateDataError",
     "EnumerationCapError",
     "GaussianComponent",
@@ -84,20 +71,13 @@ __all__ = [
     "design_matrix",
     "enumerate_allocations",
     "exact_allocation_posterior",
-    "imh_kernel",
-    "init_allocation_state",
     "initialize_model",
     "log_density_completed",
-    "log_density_marginal",
     "log_target",
     "m_step",
-    "merge_sample_sets",
-    "propose_allocation",
-    "rjmcmc_sweep",
     "robust_location_scale",
     "run_sampler",
     "run_sem",
-    "sample_amplitudes",
     "simulate_sample_set",
     "synthesize_signal",
 ]

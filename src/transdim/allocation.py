@@ -10,58 +10,26 @@ the realized sampled path, including the 1/k! factor for the visit order;
 the Hastings ratio formed from these path probabilities is exact on the
 order-augmented space, whose z-marginal is the target.
 
-Batch variants operate on arrays of same-length samples and back both the
-public single-sample operations and the SEM S-step.
+Every operation works on a batch of same-length samples, the form the SEM
+S-step runs; the exact enumeration posterior is the validation oracle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleModelError
 from .model import (
-    AllocationVector,
     SummaryModel,
     VariableDimSample,
     enumerate_allocations,
     log_density_completed,
 )
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class AllocationChainState:
-    """Current allocation of one sample plus cached log densities.
-
-    Both caches refer to the model the state was built for; rebuild the state
-    (or recompute the caches) whenever the model changes.
-    """
-
-    z: AllocationVector
-    log_completed: float
-    log_proposal: float
-
-
 # ---------------------------------------------------------------------------
 # Batch primitives (same-k groups)
 # ---------------------------------------------------------------------------
-
-
-def _log_gauss_matrix(thetas: np.ndarray, model: SummaryModel) -> np.ndarray:
-    """log N(theta_j | mu_l, s2_l) for every point and component, shape (n, k, L)."""
-    n, k = thetas.shape
-    L = model.n_components
-    if L == 0:
-        return np.zeros((n, k, 0))
-    mus = np.array([c.mu for c in model.components])
-    s2s = np.array([c.s2 for c in model.components])
-    return (
-        -0.5 * (_LOG_2PI + np.log(s2s))[None, None, :]
-        - (thetas[:, :, None] - mus[None, None, :]) ** 2 / (2.0 * s2s)[None, None, :]
-    )
 
 
 def _batch_propose(
@@ -180,91 +148,6 @@ def _log_weight_matrix(log_n: np.ndarray, model: SummaryModel) -> np.ndarray:
         return log_n
     log_pis = np.log([c.pi for c in model.components])
     return log_n + log_pis[None, None, :]
-
-
-def _check_feasible(k: int, model: SummaryModel) -> None:
-    if model.eta == 0.0 and k > model.n_components:
-        raise InfeasibleModelError(
-            f"sample with k={k} cannot be allocated: eta = 0 and only "
-            f"{model.n_components} Gaussian components"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-
-def propose_allocation(
-    x: VariableDimSample, model: SummaryModel, rng: np.random.Generator
-) -> tuple[AllocationVector, float]:
-    """Draw one allocation from the sequential proposal.
-
-    Returns the allocation and the exact log probability of the sampled path
-    (visit order included).  Every admissible allocation has positive
-    proposal probability whenever eta > 0.
-    """
-    _check_feasible(x.k, model)
-    thetas = np.asarray(x.theta, dtype=float).reshape(1, x.k)
-    log_n = _log_gauss_matrix(thetas, model)
-    labels, log_q = _batch_propose(_log_weight_matrix(log_n, model), model.eta, rng)
-    return AllocationVector(tuple(int(l) for l in labels[0])), float(log_q[0])
-
-
-def init_allocation_state(
-    x: VariableDimSample, model: SummaryModel, rng: np.random.Generator
-) -> AllocationChainState:
-    """Greedy initial state: proposal weight rule with argmax instead of sampling."""
-    _check_feasible(x.k, model)
-    thetas = np.asarray(x.theta, dtype=float).reshape(1, x.k)
-    log_n = _log_gauss_matrix(thetas, model)
-    labels, log_q = _batch_propose(
-        _log_weight_matrix(log_n, model), model.eta, rng, mode="greedy"
-    )
-    lc = _batch_log_completed(labels, log_n, model)
-    z = AllocationVector(tuple(int(l) for l in labels[0]))
-    return AllocationChainState(z, float(lc[0]), float(log_q[0]))
-
-
-def imh_kernel(
-    state: AllocationChainState,
-    x: VariableDimSample,
-    model: SummaryModel,
-    n_steps: int,
-    rng: np.random.Generator,
-) -> AllocationChainState:
-    """Apply ``n_steps`` independent-MH accept/reject steps to one chain.
-
-    Acceptance probability is min(1, exp[(log p(x,z'|E) - log q(z')) -
-    (log p(x,z|E) - log q(z))]); the invariant distribution is p(z | x, E).
-    The proposals do not depend on the current state, so they are generated
-    in one batch and scanned sequentially.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    if n_steps == 0:
-        return state
-    _check_feasible(x.k, model)
-
-    thetas = np.broadcast_to(
-        np.asarray(x.theta, dtype=float), (n_steps, x.k)
-    ).copy() if x.k else np.zeros((n_steps, 0))
-    log_n = _log_gauss_matrix(thetas, model)
-    prop_labels, prop_lq = _batch_propose(
-        _log_weight_matrix(log_n, model), model.eta, rng, mode="sample"
-    )
-    prop_lc = _batch_log_completed(prop_labels, log_n, model)
-    log_u = np.log(rng.random(n_steps))
-
-    cur_z, cur_lc, cur_lq = state.z, state.log_completed, state.log_proposal
-    for t in range(n_steps):
-        with np.errstate(invalid="ignore"):
-            log_ratio = (prop_lc[t] - prop_lq[t]) - (cur_lc - cur_lq)
-        if log_u[t] < log_ratio:  # NaN compares False: stay
-            cur_z = AllocationVector(tuple(int(l) for l in prop_labels[t]))
-            cur_lc = float(prop_lc[t])
-            cur_lq = float(prop_lq[t])
-    return AllocationChainState(cur_z, cur_lc, cur_lq)
 
 
 def exact_allocation_posterior(

@@ -10,7 +10,8 @@ class EnumerationCapError(TransdimError):
 
 
 class DegenerateDataError(TransdimError):
-    """Raised when an estimator receives too little data to be defined."""
+    """Raised when an estimator receives too little data to be defined, or the
+    sampler an observation with nothing to sample (constant or non-finite)."""
 
 
 class InfeasibleModelError(TransdimError):

@@ -3,13 +3,16 @@ CSV outputs.
 
 Numbers are serialized with Python's shortest round-trip representation, so
 reruns with identical seeds produce byte-identical files and the model JSON
-round-trips exactly.
+round-trips exactly.  Every writer fills '<name>.tmp' in the target directory
+and renames it over '<name>', so a failed write never leaves a truncated file.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -29,6 +32,22 @@ from .sem import SemConfig
 FORMAT_VERSION = 1
 
 
+@contextlib.contextmanager
+def _atomic_open(path, newline=None):
+    """Text handle on '<path>.tmp', renamed over ``path`` once the block
+    succeeds; on any failure the temp file is removed and ``path`` is left
+    as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Sample sets (newline-delimited JSON, one object per draw)
 # ---------------------------------------------------------------------------
@@ -39,7 +58,7 @@ def write_sample_set(path, samples: SampleSet) -> None:
     provenance goes to a sidecar '<path>.meta.json'."""
     path = Path(path)
     iterations = samples.meta.get("iterations") or list(range(len(samples)))
-    with path.open("w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for i, s in zip(iterations, samples.samples):
             fh.write(
                 json.dumps({"i": i, "k": s.k, "theta": list(s.theta)}) + "\n"
@@ -105,7 +124,7 @@ def read_model(path) -> SummaryModel:
 
 
 def write_y_csv(path, y: np.ndarray) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for v in np.asarray(y, dtype=float):
             fh.write(repr(float(v)) + "\n")
 
@@ -125,7 +144,7 @@ def read_y_csv(path) -> np.ndarray:
 
 
 def write_allocations(path, allocations) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for i, z in enumerate(allocations):
             fh.write(json.dumps({"i": i, "z": list(z.z)}) + "\n")
 
@@ -156,7 +175,7 @@ def write_trace_csv(path, trace) -> None:
     for l in range(1, n_comp + 1):
         header += [f"mu_{l}", f"s_{l}", f"pi_{l}"]
     header.append("eta")
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for it, rec in enumerate(trace.iterations, start=1):
@@ -173,7 +192,7 @@ def write_summary_table(path, rows) -> None:
     def cell(v):
         return "-" if v is None else repr(v)
 
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["component", "mu", "s", "pi", "mu_bms", "s_bms"])
         for r in rows:
@@ -184,7 +203,7 @@ def write_summary_table(path, rows) -> None:
 
 
 def write_intensities(path, centers, bma, background, mixture) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_center", "bma", "background", "mixture_pdf"])
         for c, a, b, m in zip(centers, bma, background, mixture):
@@ -200,8 +219,20 @@ def write_acceptance(path, report: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def check_keys(section: dict, allowed, where: str) -> None:
+    """Raise ValueError naming every key of ``section`` not in ``allowed``."""
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown key(s) in config {where}: {', '.join(unknown)}")
+
+
 def parse_scene(section: dict) -> tuple[SinusoidScene, int]:
     """Build the scene from its config section; returns (scene, noise seed)."""
+    check_keys(
+        section,
+        ("n", "amplitudes", "omegas", "snr_db", "sigma2", "seed"),
+        "section 'scene'",
+    )
     scene = build_scene(
         n=int(section["n"]),
         amplitudes=section.get("amplitudes", []),
@@ -212,11 +243,13 @@ def parse_scene(section: dict) -> tuple[SinusoidScene, int]:
     return scene, int(section.get("seed", 0))
 
 
-def _parse_dataclass(cls, section: dict):
+def _parse_dataclass(cls, section: dict, where: str):
     """Build a config dataclass from its section.  Keys left out take the
     dataclass's own defaults; int, float and bool fields are converted, other
-    values pass through.  A missing required key raises KeyError."""
+    values pass through.  A missing required key raises KeyError, a key that
+    is not a field ValueError."""
     hints = get_type_hints(cls)
+    check_keys(section, hints, where)
     kwargs = {}
     for f in fields(cls):
         if f.name in section:
@@ -228,11 +261,11 @@ def _parse_dataclass(cls, section: dict):
 
 
 def parse_sampler_config(section: dict) -> SamplerConfig:
-    return _parse_dataclass(SamplerConfig, section)
+    return _parse_dataclass(SamplerConfig, section, "section 'sampler'")
 
 
 def parse_sem_config(section: dict) -> SemConfig:
-    return _parse_dataclass(SemConfig, section)
+    return _parse_dataclass(SemConfig, section, "section 'sem'")
 
 
 def load_config(path) -> dict:
@@ -243,4 +276,5 @@ def load_config(path) -> dict:
 
 
 def _write_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")

@@ -104,10 +104,6 @@ class SummaryModel:
         """Expected number of background points per sample."""
         return self.eta * self.theta_volume
 
-    def sorted_by_mean(self) -> "SummaryModel":
-        comps = tuple(sorted(self.components, key=lambda c: c.mu))
-        return SummaryModel(comps, self.eta, self.theta_volume)
-
 
 @dataclass(frozen=True)
 class AllocationVector:
@@ -175,7 +171,23 @@ def enumerate_allocations(k: int, L: int, cap: int = 10**6) -> list[AllocationVe
 
 
 def _norm_logpdf(x: float, mu: float, s2: float) -> float:
+    # Scalar on purpose: log_density_completed is the independent reference
+    # that the batch kernel below is tested against.
     return -0.5 * (_LOG_2PI + math.log(s2)) - (x - mu) ** 2 / (2.0 * s2)
+
+
+def _log_gauss_matrix(thetas: np.ndarray, model: SummaryModel) -> np.ndarray:
+    """log N(theta_j | mu_l, s2_l) for every point and component, shape (n, k, L)."""
+    n, k = thetas.shape
+    L = model.n_components
+    if L == 0:
+        return np.zeros((n, k, 0))
+    mus = np.array([c.mu for c in model.components])
+    s2s = np.array([c.s2 for c in model.components])
+    return (
+        -0.5 * (_LOG_2PI + np.log(s2s))[None, None, :]
+        - (thetas[:, :, None] - mus[None, None, :]) ** 2 / (2.0 * s2s)[None, None, :]
+    )
 
 
 def _validate_allocation(x: VariableDimSample, z: AllocationVector, L: int) -> None:
@@ -253,7 +265,8 @@ def _log_marginal_batch(thetas: np.ndarray, model: SummaryModel) -> np.ndarray:
     Cost: n * k * L * 2^(L-1) log-add-exps in k * L numpy calls.  Labels are
     added in ascending order, so every mask accumulates its terms in the
     same order as the per-mask loop kept in the tests, and the result is
-    bit-identical to it.
+    bit-identical to it.  A row is -inf when no allocation has positive
+    density, e.g. k > L with eta = 0.
     """
     n, k = thetas.shape
     L = model.n_components
@@ -264,13 +277,7 @@ def _log_marginal_batch(thetas: np.ndarray, model: SummaryModel) -> np.ndarray:
         core = k * log_eta if k > 0 else 0.0
         return np.full(n, core - lam0 - math.lgamma(k + 1))
 
-    mus = np.array([c.mu for c in model.components])
-    s2s = np.array([c.s2 for c in model.components])
-    # log N(theta_j | mu_l, s2_l), shape (n, k, L)
-    log_n = (
-        -0.5 * (_LOG_2PI + np.log(s2s))[None, None, :]
-        - (thetas[:, :, None] - mus[None, None, :]) ** 2 / (2.0 * s2s)[None, None, :]
-    )
+    log_n = _log_gauss_matrix(thetas, model)
 
     g = np.full((n, 1 << L), -np.inf)
     g[:, 0] = 0.0
@@ -297,19 +304,6 @@ def _log_marginal_batch(thetas: np.ndarray, model: SummaryModel) -> np.ndarray:
             -np.inf,
         )
     return total - lam0 - math.lgamma(k + 1)
-
-
-def log_density_marginal(x: VariableDimSample, model: SummaryModel) -> float:
-    """Log marginal density of a sample: the completed density summed over
-    all admissible allocations.
-
-    The summation is exact (dynamic programming over label subsets, no
-    enumeration cap involved) and agrees with log-sum-exp over
-    ``enumerate_allocations``.  Returns -inf when no allocation has positive
-    density, e.g. k > L with eta = 0.
-    """
-    thetas = np.asarray(x.theta, dtype=float).reshape(1, x.k)
-    return float(_log_marginal_batch(thetas, model)[0])
 
 
 # ---------------------------------------------------------------------------

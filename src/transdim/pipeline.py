@@ -39,13 +39,19 @@ class PipelineConfig:
 
 
 def parse_pipeline_config(doc: dict) -> PipelineConfig:
+    """Build the run configuration; unknown keys at any level raise ValueError."""
+    io.check_keys(
+        doc, ("format_version", "scene", "sampler", "sem", "report"), "top level"
+    )
+    report = doc.get("report", {})
+    io.check_keys(report, ("bins",), "section 'report'")
     scene, noise_seed = io.parse_scene(doc["scene"])
     return PipelineConfig(
         scene=scene,
         noise_seed=noise_seed,
         sampler=io.parse_sampler_config(doc["sampler"]),
         sem=io.parse_sem_config(doc.get("sem", {})),
-        bins=int(doc.get("report", {}).get("bins", 256)),
+        bins=int(report.get("bins", 256)),
     )
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .errors import DegenerateDataError
 from .model import SampleSet, VariableDimSample
 
 _LOG_PI = math.log(math.pi)
@@ -156,23 +157,6 @@ class SamplerConfig:
             raise ValueError("rw_scale must be positive")
         if self.periodogram_grid is not None and self.periodogram_grid < 2:
             raise ValueError("periodogram_grid must be >= 2")
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """One chain state: model index, frequencies, delta2 and the cached
-    unnormalized log posterior."""
-
-    k: int
-    omegas: tuple[float, ...]
-    delta2: float
-    log_target: float
-
-    def __post_init__(self):
-        if len(self.omegas) != self.k:
-            raise ValueError("omegas length must equal k")
-        if not math.isfinite(self.log_target):
-            raise ValueError("chain states must carry a finite log target")
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +321,23 @@ def _update_log_alpha(
 # ---------------------------------------------------------------------------
 
 
+def _check_observation(y) -> np.ndarray:
+    """y as a float array; raises DegenerateDataError unless it is non-empty,
+    finite and not constant (an all-zero y is constant)."""
+    y = np.asarray(y, dtype=float)
+    if y.size == 0 or not np.all(np.isfinite(y)):
+        raise DegenerateDataError("observation y is empty or has non-finite values")
+    if np.ptp(y) == 0.0:
+        what = "all zero" if y[0] == 0.0 else "constant"
+        raise DegenerateDataError(f"observation y is {what}: nothing to sample")
+    return y
+
+
 class _Engine:
     """Mutable chain state plus cached quantities for one observation."""
 
     def __init__(self, y: np.ndarray, config: SamplerConfig, rng: np.random.Generator):
-        self.y = np.asarray(y, dtype=float)
+        self.y = _check_observation(y)
         self.n = self.y.shape[0]
         self.yty = float(self.y @ self.y)
         self.config = config
@@ -354,9 +350,8 @@ class _Engine:
         centers = (np.arange(grid) + 0.5) * self.cell
         spectrum = np.exp(-1j * np.outer(centers, t)) @ self.y
         power = np.abs(spectrum) ** 2 / self.n
-        total = power.sum()
-        # Degenerate spectra (all-zero y) fall back to a flat grid.
-        self.pgram = power / total if total > 0 else np.full(grid, 1.0 / grid)
+        # _check_observation rejects an all-zero y, whose power sum is zero.
+        self.pgram = power / power.sum()
         self.pgram_cdf = np.cumsum(self.pgram)
 
         self.k = 0
@@ -380,20 +375,6 @@ class _Engine:
     def _freq_cols(self, w: float) -> np.ndarray:
         wt = w * np.arange(self.n)
         return np.column_stack([np.cos(wt), np.sin(wt)])
-
-    def load(self, state: ChainState) -> None:
-        self.k = state.k
-        self.omegas = np.asarray(state.omegas, dtype=float)
-        self.cols = (
-            design_matrix(self.omegas, self.n) if state.k else np.empty((self.n, 0))
-        )
-        self.delta2 = state.delta2
-        self.logf = self._eval(self.cols, self.k, self.delta2)
-
-    def snapshot(self) -> ChainState:
-        return ChainState(
-            self.k, tuple(float(w) for w in self.omegas), self.delta2, self.logf
-        )
 
     # -- proposal densities --------------------------------------------------
 
@@ -532,24 +513,13 @@ class _Engine:
 # ---------------------------------------------------------------------------
 
 
-def rjmcmc_sweep(
-    state: ChainState, y: np.ndarray, config: SamplerConfig, rng: np.random.Generator
-) -> ChainState:
-    """One full sweep (dimension move, frequency updates, optional delta2
-    update) applied to a chain state.  Rejected proposals leave the state
-    unchanged."""
-    engine = _Engine(y, config, rng)
-    engine.load(state)
-    engine.sweep()
-    return engine.snapshot()
-
-
 def run_sampler(y: np.ndarray, config: SamplerConfig) -> tuple[SampleSet, dict]:
     """Run the chain and collect post-burn-in, thinned (k, omegas) draws.
 
     Returns the sample set (meta records seed, chain length, burn-in and
     thinning) and an acceptance-rate report per move type.  The output is a
-    pure function of (y, config.seed).
+    pure function of (y, config.seed).  Raises DegenerateDataError when y is
+    empty, non-finite or constant.
     """
     rng = np.random.default_rng(config.seed)
     engine = _Engine(y, config, rng)
@@ -570,51 +540,3 @@ def run_sampler(y: np.ndarray, config: SamplerConfig) -> tuple[SampleSet, dict]:
         "iterations": iterations,
     }
     return SampleSet(tuple(draws), meta), engine.acceptance_report()
-
-
-def merge_sample_sets(sets: list[SampleSet]) -> SampleSet:
-    """Concatenate independently generated sample sets, order preserved."""
-    if not sets:
-        raise ValueError("nothing to merge")
-    samples = tuple(s for ss in sets for s in ss.samples)
-    iterations = []
-    for ss in sets:
-        iterations.extend(ss.meta.get("iterations", [None] * len(ss)))
-    return SampleSet(
-        samples,
-        meta={"merged_from": [dict(ss.meta, iterations=None) for ss in sets],
-              "iterations": iterations},
-    )
-
-
-def sample_amplitudes(
-    k: int, omegas, y: np.ndarray, delta2: float, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Draw (a, sigma2) from their joint conditional given (k, omegas, delta2).
-
-    sigma2 comes from its inverse-gamma conditional, then a from the Gaussian
-    N(m, sigma2 M) with M = (delta2/(1+delta2)) (D'D)^-1 and m = M D'y, the
-    least-squares fit shrunk by delta2/(1+delta2).  Raises LinAlgError when
-    D'D is singular.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    yty = float(y @ y)
-    if k == 0:
-        q = yty
-        sigma2 = q / (2.0 * rng.gamma(n / 2.0))
-        return np.empty(0), float(sigma2)
-    d = design_matrix(omegas, n)
-    g = d.T @ d
-    lo = np.linalg.cholesky(g)  # raises LinAlgError if singular
-    b = d.T @ y
-    w = solve_triangular(lo, b, lower=True, check_finite=False)
-    shrink = delta2 / (1.0 + delta2)
-    q = yty - shrink * float(w @ w)
-    sigma2 = q / (2.0 * rng.gamma(n / 2.0))
-    mean = shrink * solve_triangular(lo.T, w, lower=False, check_finite=False)
-    z = rng.standard_normal(2 * k)
-    a = mean + math.sqrt(sigma2 * shrink) * solve_triangular(
-        lo.T, z, lower=False, check_finite=False
-    )
-    return a, float(sigma2)

@@ -21,7 +21,6 @@ from .allocation import (
     _batch_imh_step,
     _batch_log_completed,
     _batch_propose,
-    _log_gauss_matrix,
     _log_weight_matrix,
 )
 from .errors import DegenerateDataError
@@ -31,6 +30,7 @@ from .model import (
     GaussianComponent,
     SampleSet,
     SummaryModel,
+    _log_gauss_matrix,
     _log_marginal_batch,
 )
 
@@ -170,44 +170,23 @@ def initialize_model(
 
 
 def m_step(
-    samples: SampleSet,
-    allocations: list[AllocationVector],
+    theta_flat: np.ndarray,
+    label_flat: np.ndarray,
+    m: int,
     previous: SummaryModel,
     s_min: float = S_MIN,
 ) -> SummaryModel:
     """Robust M-step given drawn allocations.
 
-    For each Gaussian label: location/scale by median and IQR over the
+    ``theta_flat`` holds the points of all ``m`` samples end to end and
+    ``label_flat`` their allocation labels, in the same order.  For each
+    Gaussian label: location/scale by median and IQR over the
     allocated values, probability of presence by the fraction of samples
     using the label (clamped to [1/(2M), 1]).  A component allocated in fewer
     than two samples keeps its previous location and scale and gets the
     minimal probability for this iteration.  The background intensity is the
     count of background labels per sample per unit length.
     """
-    m = len(samples)
-    if len(allocations) != m:
-        raise ValueError("allocations must align one-to-one with samples")
-    for x, z in zip(samples.samples, allocations):
-        if len(z) != x.k:
-            raise ValueError("allocation length mismatch")
-        if any(l > previous.n_components for l in z.z):
-            raise ValueError("allocation label exceeds component count")
-    theta_flat = np.array(
-        [t for x in samples.samples for t in x.theta], dtype=float
-    )
-    label_flat = np.array(
-        [l for z in allocations for l in z.z], dtype=np.int64
-    )
-    return _m_step_flat(theta_flat, label_flat, m, previous, s_min)
-
-
-def _m_step_flat(
-    theta_flat: np.ndarray,
-    label_flat: np.ndarray,
-    m: int,
-    previous: SummaryModel,
-    s_min: float,
-) -> SummaryModel:
     pi_min = 1.0 / (2.0 * m)
     comps = []
     for l, prev in enumerate(previous.components, start=1):
@@ -327,7 +306,7 @@ def run_sem(samples: SampleSet, config: SemConfig) -> tuple[SummaryModel, SemTra
             label_flat = np.concatenate(
                 [states[k][0].ravel() for k in sorted(groups)]
             ) if total_points else np.empty(0, dtype=np.int64)
-            model = _m_step_flat(theta_flat, label_flat, m, model, S_MIN)
+            model = m_step(theta_flat, label_flat, m, model)
 
             counts = tuple(
                 int((label_flat == l).sum()) for l in range(1, L + 1)

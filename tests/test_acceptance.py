@@ -20,7 +20,6 @@ from transdim import (
     SamplerConfig,
     SemConfig,
     SummaryModel,
-    VariableDimSample,
     bms_summary,
     build_scene,
     choose_L,
@@ -36,11 +35,10 @@ from transdim import io as tdio
 from transdim.allocation import (
     _batch_log_completed,
     _batch_propose,
-    _log_gauss_matrix,
     _log_weight_matrix,
 )
 from transdim.cli import main as cli_main
-from transdim.model import _log_marginal_batch, log_density_marginal
+from transdim.model import _log_gauss_matrix, _log_marginal_batch
 from transdim.pipeline import parse_pipeline_config, run_pipeline
 
 from flagship import (
@@ -119,7 +117,7 @@ def flagship_runs(tmp_path_factory):
                 "y": tdio.read_y_csv(paths["y.csv"]),
                 "config": cfg,
                 "samples": samples,
-                "model": model.sorted_by_mean(),
+                "model": model,
                 "j": j_values,
                 "map_k": map_k,
                 "bms": slots,
@@ -294,7 +292,7 @@ def test_criterion_04_allocation_oracle_equivalence():
 
 def _normalization_total(model: SummaryModel) -> float:
     """Sum over k of the marginal mass, quadrature for k <= 2, QMC above."""
-    total = math.exp(log_density_marginal(VariableDimSample(0, ()), model))
+    total = math.exp(_log_marginal_batch(np.empty((1, 0)), model)[0])
     nodes, weights = np.polynomial.legendre.leggauss(220)
     grid = 0.5 * math.pi * (nodes + 1.0)
     w = 0.5 * math.pi * weights
@@ -392,7 +390,7 @@ def test_criterion_07_self_consistency_fit():
         ss = simulate_sample_set(truth, 10**4, np.random.default_rng(707))
         fitted, _ = run_sem(ss, SemConfig(n_iterations=50, seed=708))
         assert fitted.n_components == truth.n_components, "wrong L chosen"
-        errs = _relative_errors(fitted.sorted_by_mean(), truth)
+        errs = _relative_errors(fitted, truth)
         details.append(f"{name}: max rel err {max(errs):.3f}")
         ok = ok and max(errs) <= 0.10
     verdict(7, ok, "; ".join(details))

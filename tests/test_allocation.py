@@ -1,4 +1,8 @@
-"""Allocation proposal, exact posterior oracle, and I-MH kernel."""
+"""Allocation proposal, exact posterior oracle, and the I-MH kernel.
+
+The proposal and kernel tests drive the batch functions the SEM S-step runs;
+a single sample is a batch of one row.
+"""
 import math
 
 import numpy as np
@@ -12,11 +16,14 @@ from transdim import (
     VariableDimSample,
     enumerate_allocations,
     exact_allocation_posterior,
-    imh_kernel,
-    init_allocation_state,
-    propose_allocation,
 )
-from transdim.allocation import AllocationChainState
+from transdim.allocation import (
+    _batch_imh_step,
+    _batch_log_completed,
+    _batch_propose,
+    _log_weight_matrix,
+)
+from transdim.model import _log_gauss_matrix, log_density_completed
 
 
 def comp(mu, s2=1.0, pi=0.5):
@@ -31,18 +38,32 @@ def tv_distance(p: dict, q: dict) -> float:
 STD_NORMAL_MODE = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def batch_of(x: VariableDimSample, m: SummaryModel, n: int = 1):
+    """(log N, log proposal weights) for n copies of one sample, shape (n, k, L)."""
+    thetas = np.tile(np.asarray(x.theta, dtype=float), (n, 1)).reshape(n, x.k)
+    log_n = _log_gauss_matrix(thetas, m)
+    return log_n, _log_weight_matrix(log_n, m)
+
+
+def greedy_state(x, m, rng):
+    """Greedy initial chain state (labels, log completed, log proposal), one row."""
+    log_n, log_w = batch_of(x, m)
+    labels, lq = _batch_propose(log_w, m.eta, rng, mode="greedy")
+    return labels, _batch_log_completed(labels, log_n, m), lq
+
+
 # ---------------------------------------------------------------------------
-# propose_allocation
+# Proposal (_batch_propose)
 # ---------------------------------------------------------------------------
 
 
 def test_propose_single_admissible():
     m = SummaryModel((comp(0.0, 1.0, 1.0),), eta=0.0)
     x = VariableDimSample(1, (1.0,))
-    rng = np.random.default_rng(0)
-    z, log_q = propose_allocation(x, m, rng)
-    assert z.z == (1,)
-    assert log_q == pytest.approx(0.0, abs=1e-12)
+    _, log_w = batch_of(x, m)
+    labels, log_q = _batch_propose(log_w, m.eta, np.random.default_rng(0))
+    assert labels.tolist() == [[1]]
+    assert log_q[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_propose_weight_rule():
@@ -56,18 +77,14 @@ def test_propose_weight_rule():
     p1 = w1 / (w0 + w1)
     assert p1 == pytest.approx(0.3852, abs=1e-4)
 
-    rng = np.random.default_rng(42)
-    hits = 0
     n = 20000
-    for _ in range(n):
-        z, log_q = propose_allocation(x, m, rng)
-        if z.z == (1,):
-            hits += 1
-            assert log_q == pytest.approx(math.log(p1), abs=1e-12)
-        else:
-            assert log_q == pytest.approx(math.log(1.0 - p1), abs=1e-12)
+    _, log_w = batch_of(x, m, n)
+    labels, log_q = _batch_propose(log_w, m.eta, np.random.default_rng(42))
+    hit = labels[:, 0] == 1
+    expected = np.where(hit, math.log(p1), math.log(1.0 - p1))
+    assert np.allclose(log_q, expected, rtol=0.0, atol=1e-12)
     se = math.sqrt(p1 * (1.0 - p1) / n)
-    assert hits / n == pytest.approx(p1, abs=4 * se)
+    assert hit.mean() == pytest.approx(p1, abs=4 * se)
 
 
 def test_propose_supports_every_admissible_allocation():
@@ -78,12 +95,10 @@ def test_propose_supports_every_admissible_allocation():
         eta=0.3,
     )
     x = VariableDimSample(3, (0.9, 1.6, 2.1))
-    rng = np.random.default_rng(3)
-    seen = set()
-    for _ in range(10**4):
-        z, log_q = propose_allocation(x, m, rng)
-        assert log_q > -math.inf
-        seen.add(z.z)
+    _, log_w = batch_of(x, m, 10**4)
+    labels, log_q = _batch_propose(log_w, m.eta, np.random.default_rng(3))
+    assert np.all(log_q > -math.inf)
+    seen = set(tuple(int(l) for l in row) for row in labels)
     admissible = set(v.z for v in enumerate_allocations(3, 3))
     assert seen == admissible
 
@@ -91,8 +106,9 @@ def test_propose_supports_every_admissible_allocation():
 def test_propose_infeasible_raises():
     m = SummaryModel((comp(1.0),), eta=0.0)
     x = VariableDimSample(2, (1.0, 2.0))
+    _, log_w = batch_of(x, m)
     with pytest.raises(InfeasibleModelError):
-        propose_allocation(x, m, np.random.default_rng(0))
+        _batch_propose(log_w, m.eta, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +153,23 @@ def test_exact_posterior_sums_to_one():
 
 
 # ---------------------------------------------------------------------------
-# imh_kernel
+# I-MH kernel (_batch_imh_step)
 # ---------------------------------------------------------------------------
-
-
-def test_kernel_zero_steps_is_identity():
-    m = SummaryModel((comp(1.0, 1.0, 0.5),), eta=0.1)
-    x = VariableDimSample(1, (1.0,))
-    state = init_allocation_state(x, m, np.random.default_rng(0))
-    assert imh_kernel(state, x, m, 0, np.random.default_rng(1)) is state
 
 
 def test_kernel_accepts_always_when_proposal_equals_target():
     m = SummaryModel((comp(0.0, 1.0, 1.0),), eta=0.0)
     x = VariableDimSample(1, (1.0,))
-    state = init_allocation_state(x, m, np.random.default_rng(0))
-    out = imh_kernel(state, x, m, 50, np.random.default_rng(1))
-    assert out.z.z == (1,)
+    labels, lc, lq = greedy_state(x, m, np.random.default_rng(0))
+    start_lc = lc.copy()
+    log_n, log_w = batch_of(x, m)
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        labels, lc, lq, accepted = _batch_imh_step(labels, lc, lq, log_w, log_n, m, rng)
+        assert accepted.all()
+    assert labels.tolist() == [[1]]
     # ratio cancels exactly: cached values identical to the initial ones
-    assert out.log_completed == pytest.approx(state.log_completed)
+    assert lc[0] == pytest.approx(start_lc[0])
 
 
 def test_kernel_matches_exact_posterior():
@@ -163,12 +177,14 @@ def test_kernel_matches_exact_posterior():
     x = VariableDimSample(2, (1.1, 1.7))
     exact = exact_allocation_posterior(x, m)
     rng = np.random.default_rng(5)
-    state = init_allocation_state(x, m, rng)
+    labels, lc, lq = greedy_state(x, m, rng)
+    log_n, log_w = batch_of(x, m)
     counts: dict = {}
     n_steps = 10**4
     for _ in range(n_steps):
-        state = imh_kernel(state, x, m, 1, rng)
-        counts[state.z.z] = counts.get(state.z.z, 0) + 1
+        labels, lc, lq, _ = _batch_imh_step(labels, lc, lq, log_w, log_n, m, rng)
+        key = tuple(int(l) for l in labels[0])
+        counts[key] = counts.get(key, 0) + 1
     empirical = {z: c / n_steps for z, c in counts.items()}
     assert tv_distance(empirical, exact) < 0.02
 
@@ -191,18 +207,7 @@ def test_kernel_preserves_exact_posterior(k, L):
     n_chains = 10**5
     start_idx = rng.choice(len(zs), size=n_chains, p=probs)
     counts: dict = {}
-    # batch the chains through the vectorized internals via repeated kernels
-    from transdim.allocation import (
-        _batch_imh_step,
-        _batch_log_completed,
-        _batch_propose,
-        _log_gauss_matrix,
-        _log_weight_matrix,
-    )
-
-    thetas = np.broadcast_to(np.array(x.theta), (n_chains, k)).copy()
-    log_n = _log_gauss_matrix(thetas, m)
-    log_w = _log_weight_matrix(log_n, m)
+    log_n, log_w = batch_of(x, m, n_chains)
     labels = np.array([zs[i] for i in start_idx], dtype=np.int64)
     lc = _batch_log_completed(labels, log_n, m)
     _, lq = _batch_propose(log_w, m.eta, rng, mode="follow", follow=labels)
@@ -215,23 +220,24 @@ def test_kernel_preserves_exact_posterior(k, L):
 
 
 def test_acceptance_ratio_antisymmetry():
-    rng = np.random.default_rng(9)
     m = SummaryModel((comp(1.0, 0.05, 0.7), comp(2.0, 0.1, 0.5)), eta=0.3)
     x = VariableDimSample(2, (1.1, 1.9))
     rng_prop = np.random.default_rng(10)
-    a = init_allocation_state(x, m, rng_prop)
-    z_b, lq_b = propose_allocation(x, m, rng_prop)
-    from transdim.model import log_density_completed
-
+    _, a_lc, a_lq = greedy_state(x, m, rng_prop)
+    _, log_w = batch_of(x, m)
+    labels_b, lq_b = _batch_propose(log_w, m.eta, rng_prop)
+    z_b = AllocationVector(tuple(int(l) for l in labels_b[0]))
     lc_b = log_density_completed(x, z_b, m)
-    forward = (lc_b - lq_b) - (a.log_completed - a.log_proposal)
-    backward = (a.log_completed - a.log_proposal) - (lc_b - lq_b)
+    forward = (lc_b - lq_b[0]) - (a_lc[0] - a_lq[0])
+    backward = (a_lc[0] - a_lq[0]) - (lc_b - lq_b[0])
     assert forward == pytest.approx(-backward, abs=1e-10)
 
 
 def test_infeasible_kernel_raises():
     m = SummaryModel((comp(1.0),), eta=0.0)
     x = VariableDimSample(2, (1.0, 2.0))
-    state = AllocationChainState(AllocationVector((1, 0)), -math.inf, -math.inf)
+    log_n, log_w = batch_of(x, m)
+    labels = np.array([[1, 0]])
+    stale = np.array([-math.inf])
     with pytest.raises(InfeasibleModelError):
-        imh_kernel(state, x, m, 5, np.random.default_rng(0))
+        _batch_imh_step(labels, stale, stale, log_w, log_n, m, np.random.default_rng(0))

@@ -20,8 +20,13 @@ from transdim import (
     VariableDimSample,
 )
 from transdim import io as tdio
+from transdim import pipeline as tdpipeline
 from transdim.cli import main
-from transdim.pipeline import parse_pipeline_config, run_pipeline
+from transdim.pipeline import STAGE_EXIT_CODES, parse_pipeline_config, run_pipeline
+
+from test_acceptance import flagship_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_CONFIG = {
     "format_version": 1,
@@ -120,6 +125,25 @@ def test_allocations_round_trip(tmp_path):
     assert tdio.read_allocations(path) == allocs
 
 
+@pytest.mark.parametrize(
+    "write, bad_argument",
+    [
+        # fails on its second line, after the first has been written
+        (tdio.write_allocations, [AllocationVector((1,)), None]),
+        # fails inside the JSON encoder
+        (tdio.write_acceptance, {"birth": object()}),
+    ],
+    ids=["mid-file", "json"],
+)
+def test_failed_write_keeps_previous_file(tmp_path, write, bad_argument):
+    path = tmp_path / "artifact"
+    path.write_text("previous\n")
+    with pytest.raises((AttributeError, TypeError)):
+        write(path, bad_argument)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
 def test_read_sample_set_rejects_inconsistent_k(tmp_path):
     path = tmp_path / "bad.ndjson"
     path.write_text('{"i": 0, "k": 2, "theta": [1.0]}\n')
@@ -144,6 +168,7 @@ def test_pipeline_writes_expected_bundle(small_run):
     out, paths = small_run
     for name in EXPECTED_FILES:
         assert (out / name).exists(), name
+    assert not list(out.glob("*.tmp"))
 
 
 def test_pipeline_outputs_parse(small_run):
@@ -309,3 +334,81 @@ def test_config_section_types_and_required_key():
     assert type(cfg.lambda_k) is float
     with pytest.raises(KeyError, match="n_sweeps"):
         tdio.parse_sampler_config({"burn_in": 5})
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("sampler", "burnin"), ("sem", "n_iter"), ("scene", "snr"), ("report", "bin"),
+     (None, "samplers")],
+)
+def test_config_rejects_unknown_keys(section, key):
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    (doc if section is None else doc[section])[key] = 10
+    where = "top level" if section is None else f"section '{section}'"
+    with pytest.raises(ValueError, match=f"{where}: {key}$"):
+        parse_pipeline_config(doc)
+
+
+def test_shipped_configs_parse():
+    for path in ("configs/three_sinusoids.json", "perfbench/dense_scene.json"):
+        parse_pipeline_config(tdio.load_config(ROOT / path))
+    parse_pipeline_config(flagship_config(0))
+
+
+DEGENERATE_Y = {"all-zero": [0.0] * 64, "constant": [2.5] * 64,
+                "nan": [1.0] * 63 + [math.nan]}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_Y))
+def test_cli_sample_rejects_degenerate_observation(tmp_path, name):
+    cfg_path = write_config(tmp_path, SMALL_CONFIG)
+    y_path = tmp_path / "y_in.csv"
+    tdio.write_y_csv(y_path, np.array(DEGENERATE_Y[name]))
+    out = tmp_path / "s"
+    r = CliRunner().invoke(
+        main, ["sample", "--config", str(cfg_path), "--out", str(out), "--y-csv", str(y_path)]
+    )
+    assert r.exit_code == STAGE_EXIT_CODES["sample"] == 3, r.output
+    assert "observation y" in r.output
+    assert not (out / "samples.ndjson").exists()
+
+
+def inject_failure(*args, **kwargs):
+    raise RuntimeError("injected stage failure")
+
+
+@pytest.mark.parametrize(
+    "command, stage, target",
+    [("pipeline", "scene", "synthesize_signal"), ("sample", "sample", "run_sampler"),
+     ("fit", "fit", "run_sem"), ("report", "report", "bms_summary")],
+)
+def test_cli_exit_codes(tmp_path, monkeypatch, command, stage, target):
+    """A failure inside a stage exits with that stage's code; a config or
+    input error outside any stage exits with 1."""
+    good = write_config(tmp_path, SMALL_CONFIG, "good.json")
+    bad = write_config(tmp_path, dict(SMALL_CONFIG, sampler={"burnin": 10}), "bad.json")
+    samples = tmp_path / "samples.ndjson"
+    samples.write_text('{"i": 0, "k": 1, "theta": [1.0]}\n')
+    model = tmp_path / "model.json"
+    tdio.write_model(model, SummaryModel((GaussianComponent(1.0, 0.01, 0.5),), eta=0.1))
+    allocations = tmp_path / "allocations.ndjson"
+    tdio.write_allocations(allocations, [AllocationVector((1,))])
+
+    def args(config, model_path=model):
+        out = ["--out", str(tmp_path / "out")]
+        if command == "report":
+            return [command, "--samples", str(samples), "--model", str(model_path),
+                    "--allocations", str(allocations)] + out
+        extra = ["--samples", str(samples)] if command == "fit" else []
+        return [command, "--config", str(config)] + extra + out
+
+    runner = CliRunner()
+    broken_model = tmp_path / "broken_model.json"
+    broken_model.write_text("{}")
+    r = runner.invoke(main, args(bad, model_path=broken_model))
+    assert r.exit_code == 1, r.output
+
+    monkeypatch.setattr(tdpipeline, target, inject_failure)
+    r = runner.invoke(main, args(good))
+    assert r.exit_code == STAGE_EXIT_CODES[stage], r.output
+    assert f"stage '{stage}' failed: injected stage failure" in r.output

@@ -16,7 +16,6 @@ from transdim import (
     count_allocations,
     enumerate_allocations,
     log_density_completed,
-    log_density_marginal,
     simulate_sample_set,
 )
 from transdim.model import _LOG_2PI, _log_marginal_batch, _subset_log_priors
@@ -129,8 +128,14 @@ def test_completed_validates_length_and_injectivity():
 
 
 # ---------------------------------------------------------------------------
-# log_density_marginal
+# Marginal density (_log_marginal_batch)
 # ---------------------------------------------------------------------------
+
+
+def log_density_marginal(x, m):
+    """Log marginal density of one sample: ``_log_marginal_batch`` on one row."""
+    thetas = np.asarray(x.theta, dtype=float).reshape(1, x.k)
+    return float(_log_marginal_batch(thetas, m)[0])
 
 
 def test_marginal_single_admissible_allocation():

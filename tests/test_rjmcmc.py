@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from transdim import (
-    ChainState,
+    DegenerateDataError,
     SamplerConfig,
     build_scene,
     design_matrix,
     log_target,
-    merge_sample_sets,
-    rjmcmc_sweep,
     run_sampler,
-    sample_amplitudes,
     synthesize_signal,
 )
 from transdim.rjmcmc import (
@@ -453,6 +450,14 @@ def test_flat_target_sanity(noise_chain_setup):
     assert tv < 0.05
 
 
+def set_chain_state(engine, k, omegas):
+    """Put the engine's chain at (k, omegas) with its design columns and log target."""
+    engine.k = k
+    engine.omegas = np.array(omegas, dtype=float)
+    engine.cols = design_matrix(omegas, engine.n) if k else np.empty((engine.n, 0))
+    engine.logf = log_target(k, omegas, engine.delta2, engine.y, engine.config)
+
+
 def test_invariance_from_oracle_start(noise_chain_setup):
     """A chain started from a draw of the grid posterior stays distributed
     like it (no burn-in needed)."""
@@ -460,12 +465,8 @@ def test_invariance_from_oracle_start(noise_chain_setup):
     rng = np.random.default_rng(55)
     k0 = int(rng.choice(3, p=oracle))
     omegas0 = tuple(float(w) for w in rng.uniform(0.2, 2.9, size=k0))
-    state = ChainState(
-        k0, omegas0, config.delta2,
-        log_target(k0, omegas0, config.delta2, y, config),
-    )
     engine = _Engine(y, config, rng)
-    engine.load(state)
+    set_chain_state(engine, k0, omegas0)
     ks = []
     for _ in range(10**4):
         engine.sweep()
@@ -501,11 +502,23 @@ def test_single_sweep_is_deterministic_and_valid():
     scene = reference_scene()
     y = synthesize_signal(scene, seed=4)
     config = SamplerConfig(n_sweeps=10, seed=0)
-    state = ChainState(0, (), config.delta2, log_target(0, [], config.delta2, y, config))
-    out1 = rjmcmc_sweep(state, y, config, np.random.default_rng(9))
-    out2 = rjmcmc_sweep(state, y, config, np.random.default_rng(9))
-    assert out1 == out2
-    assert math.isfinite(out1.log_target)
+    states = []
+    for _ in range(2):
+        engine = _Engine(y, config, np.random.default_rng(9))
+        engine.sweep()
+        states.append((engine.k, engine.omegas.tolist(), engine.logf))
+        assert engine.logf == log_target(engine.k, engine.omegas, engine.delta2, y, config)
+    assert states[0] == states[1]
+    assert math.isfinite(states[0][2])
+
+
+@pytest.mark.parametrize(
+    "y", [np.zeros(32), np.full(32, 0.7), np.r_[np.ones(31), np.nan]],
+    ids=["all-zero", "constant", "nan"],
+)
+def test_run_sampler_rejects_degenerate_observation(y):
+    with pytest.raises(DegenerateDataError, match="observation y"):
+        run_sampler(y, SamplerConfig(n_sweeps=10))
 
 
 def test_run_sampler_thinning_and_determinism():
@@ -522,62 +535,3 @@ def test_run_sampler_thinning_and_determinism():
         assert 0.0 <= move["rate"] <= 1.0
     assert samples_a.meta["seed"] == 21
     assert samples_a.meta["burn_in"] == 1000
-
-
-def test_merge_sample_sets_order_stable():
-    scene = reference_scene()
-    y = synthesize_signal(scene, seed=5)
-    sa, _ = run_sampler(y, SamplerConfig(n_sweeps=50, seed=1))
-    sb, _ = run_sampler(y, SamplerConfig(n_sweeps=50, seed=2))
-    merged = merge_sample_sets([sa, sb])
-    assert merged.samples == sa.samples + sb.samples
-
-
-# ---------------------------------------------------------------------------
-# Amplitude sampling
-# ---------------------------------------------------------------------------
-
-
-def test_sample_amplitudes_ols_limit():
-    rng = np.random.default_rng(13)
-    n = 64
-    omegas = [0.7, 1.9]
-    d = design_matrix(omegas, n)
-    a_true = np.array([3.0, -1.0, 2.0, 0.5])
-    y = d @ a_true + rng.normal(0.0, 0.01, n)
-    a_hat = np.linalg.lstsq(d, y, rcond=None)[0]
-    draws = np.array(
-        [sample_amplitudes(2, omegas, y, 1e6, rng)[0] for _ in range(4000)]
-    )
-    assert np.mean(draws, axis=0) == pytest.approx(a_hat, rel=1e-3, abs=2e-3)
-
-
-def test_sample_amplitudes_k0_inverse_gamma():
-    rng = np.random.default_rng(14)
-    y = rng.normal(0.0, 1.5, 8)
-    yty = float(y @ y)
-    draws = np.array(
-        [sample_amplitudes(0, [], y, 50.0, rng)[1] for _ in range(20000)]
-    )
-    # IG(n/2, yty/2) mean = (yty/2)/(n/2 - 1)
-    assert float(np.mean(draws)) == pytest.approx((yty / 2.0) / 3.0, rel=0.05)
-
-
-def test_sample_amplitudes_recovers_reference_magnitudes():
-    scene = reference_scene()
-    y = synthesize_signal(scene, seed=17)
-    rng = np.random.default_rng(18)
-    draws = np.array(
-        [sample_amplitudes(3, REF_OMEGAS, y, 50.0, rng)[0] for _ in range(500)]
-    )
-    mags = np.sqrt(draws[:, 0::2] ** 2 + draws[:, 1::2] ** 2)
-    mean = mags.mean(axis=0)
-    sd = mags.std(axis=0)
-    for target, mu, s in zip(REF_AMPLITUDES, mean, sd):
-        assert abs(mu - target) < 3.0 * s
-
-
-def test_sample_amplitudes_singular_design_raises():
-    y = np.zeros(8)
-    with pytest.raises(np.linalg.LinAlgError):
-        sample_amplitudes(2, [0.5, 0.5], y, 50.0, np.random.default_rng(0))

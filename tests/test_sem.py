@@ -148,6 +148,13 @@ def test_initialize_pads_missing_components_by_splitting():
 # ---------------------------------------------------------------------------
 
 
+def m_step_on(samples, allocations, prev):
+    """m_step on per-sample allocations, flattened as run_sem flattens them."""
+    theta_flat = np.array([t for x in samples.samples for t in x.theta], dtype=float)
+    label_flat = np.array([l for z in allocations for l in z.z], dtype=np.int64)
+    return m_step(theta_flat, label_flat, len(samples), prev)
+
+
 def test_m_step_presence_counting():
     samples = SampleSet(
         (
@@ -164,7 +171,7 @@ def test_m_step_presence_counting():
         AllocationVector(()),
     ]
     prev = SummaryModel((comp(1.0, 0.01, 0.9),), eta=0.0)
-    fitted = m_step(samples, allocations, prev)
+    fitted = m_step_on(samples, allocations, prev)
     assert fitted.components[0].pi == pytest.approx(0.5)
 
 
@@ -181,7 +188,7 @@ def test_m_step_background_intensity():
             samples.append(VariableDimSample(1, (float(rng.normal(1.0, 0.1)),)))
             allocations.append(AllocationVector((1,)))
     prev = SummaryModel((comp(1.0, 0.01, 0.9),), eta=0.1)
-    fitted = m_step(SampleSet(tuple(samples)), allocations, prev)
+    fitted = m_step_on(SampleSet(tuple(samples)), allocations, prev)
     assert fitted.eta == pytest.approx(40.0 / (1000.0 * math.pi), abs=1e-12)
     assert fitted.eta == pytest.approx(0.01273, abs=1e-4)
     assert fitted.lam0 == pytest.approx(0.04, abs=1e-10)
@@ -210,7 +217,7 @@ def test_m_step_agrees_with_exact_argmax_on_clean_data():
         allocations.append(AllocationVector(tuple(int(z[i]) for i in order)))
     ss = SampleSet(tuple(samples))
     prev = SummaryModel((comp(1.0, 0.01, 0.5),), eta=0.01)
-    fitted = m_step(ss, allocations, prev)
+    fitted = m_step_on(ss, allocations, prev)
 
     flat_vals = [t for x, zz in zip(samples, allocations)
                  for t, l in zip(x.theta, zz.z) if l == 1]
@@ -229,7 +236,7 @@ def test_m_step_starved_component_keeps_previous_location():
     samples = SampleSet(tuple(VariableDimSample(0, ()) for _ in range(10)))
     allocations = [AllocationVector(()) for _ in range(10)]
     prev = SummaryModel((comp(1.2, 0.04, 0.8),), eta=0.0)
-    fitted = m_step(samples, allocations, prev)
+    fitted = m_step_on(samples, allocations, prev)
     assert fitted.components[0].mu == 1.2
     assert fitted.components[0].s2 == 0.04
     assert fitted.components[0].pi == pytest.approx(1.0 / 20.0)
