@@ -6,10 +6,8 @@ a Bernoulli-Gaussian summary model (with a Poisson background component) by
 a robustified stochastic-EM algorithm.
 """
 
-from .allocation import exact_allocation_posterior
 from .errors import (
     DegenerateDataError,
-    EnumerationCapError,
     InfeasibleModelError,
     PipelineStageError,
     TransdimError,
@@ -20,9 +18,6 @@ from .model import (
     SampleSet,
     SummaryModel,
     VariableDimSample,
-    count_allocations,
-    enumerate_allocations,
-    log_density_completed,
     simulate_sample_set,
 )
 from .rjmcmc import (
@@ -49,7 +44,6 @@ from .sem import (
 __all__ = [
     "AllocationVector",
     "DegenerateDataError",
-    "EnumerationCapError",
     "GaussianComponent",
     "InfeasibleModelError",
     "PipelineStageError",
@@ -66,13 +60,9 @@ __all__ = [
     "bms_summary",
     "build_scene",
     "choose_L",
-    "count_allocations",
     "criterion",
     "design_matrix",
-    "enumerate_allocations",
-    "exact_allocation_posterior",
     "initialize_model",
-    "log_density_completed",
     "log_target",
     "m_step",
     "robust_location_scale",

@@ -11,7 +11,7 @@ the Hastings ratio formed from these path probabilities is exact on the
 order-augmented space, whose z-marginal is the target.
 
 Every operation works on a batch of same-length samples, the form the SEM
-S-step runs; the exact enumeration posterior is the validation oracle.
+S-step runs.
 """
 from __future__ import annotations
 
@@ -20,12 +20,7 @@ import math
 import numpy as np
 
 from .errors import InfeasibleModelError
-from .model import (
-    SummaryModel,
-    VariableDimSample,
-    enumerate_allocations,
-    log_density_completed,
-)
+from .model import SummaryModel
 
 # ---------------------------------------------------------------------------
 # Batch primitives (same-k groups)
@@ -148,22 +143,3 @@ def _log_weight_matrix(log_n: np.ndarray, model: SummaryModel) -> np.ndarray:
         return log_n
     log_pis = np.log([c.pi for c in model.components])
     return log_n + log_pis[None, None, :]
-
-
-def exact_allocation_posterior(
-    x: VariableDimSample, model: SummaryModel, cap: int = 10**6
-) -> dict[tuple[int, ...], float]:
-    """Exact allocation posterior by enumeration: the validation oracle.
-
-    Probabilities are proportional to the completed density and sum to one.
-    Raises EnumerationCapError when the admissible set is too large and
-    InfeasibleModelError when every allocation has zero density.
-    """
-    vectors = enumerate_allocations(x.k, model.n_components, cap=cap)
-    logs = np.array([log_density_completed(x, z, model) for z in vectors])
-    top = logs.max()
-    if top == -np.inf:
-        raise InfeasibleModelError("every admissible allocation has zero density")
-    probs = np.exp(logs - top)
-    probs /= probs.sum()
-    return {v.z: float(p) for v, p in zip(vectors, probs)}

@@ -26,6 +26,7 @@ from .pipeline import (
     parse_pipeline_config,
     run_pipeline,
 )
+from .report import ReportConfig
 
 
 def _setup_logging() -> None:
@@ -106,16 +107,17 @@ def fit(config_path, samples_path, out_dir, seed):
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--allocations", "alloc_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--bins", type=int, default=256, show_default=True)
+@click.option("--bins", type=int, default=ReportConfig.bins, show_default=True)
 @_exit_on_error
 def report(samples_path, model_path, alloc_path, out_dir, bins):
     """Write the comparison table and intensity curves from fitted artifacts."""
+    config = ReportConfig(bins)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     samples = io.read_sample_set(samples_path)
     model = io.read_model(model_path)
     allocations = io.read_allocations(alloc_path)
-    _run_report(samples, model, allocations, bins, out)
+    _run_report(samples, model, allocations, config, out)
 
 
 @main.command()

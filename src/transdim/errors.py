@@ -5,10 +5,6 @@ class TransdimError(Exception):
     """Base class for all package-specific errors."""
 
 
-class EnumerationCapError(TransdimError):
-    """Raised when an exact enumeration would exceed its configured cap."""
-
-
 class DegenerateDataError(TransdimError):
     """Raised when an estimator receives too little data to be defined, or the
     sampler an observation with nothing to sample (constant or non-finite)."""

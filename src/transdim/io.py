@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import inspect
 import json
 import math
 import os
-from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .model import (
     SummaryModel,
     VariableDimSample,
 )
+from .report import ReportConfig
 from .rjmcmc import SamplerConfig, SinusoidScene, build_scene
 from .sem import SemConfig
 
@@ -226,46 +227,69 @@ def check_keys(section: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown key(s) in config {where}: {', '.join(unknown)}")
 
 
-def parse_scene(section: dict) -> tuple[SinusoidScene, int]:
-    """Build the scene from its config section; returns (scene, noise seed)."""
-    check_keys(
-        section,
-        ("n", "amplitudes", "omegas", "snr_db", "sigma2", "seed"),
-        "section 'scene'",
-    )
-    scene = build_scene(
-        n=int(section["n"]),
-        amplitudes=section.get("amplitudes", []),
-        omegas=section.get("omegas", []),
-        snr_db=section.get("snr_db"),
-        sigma2=section.get("sigma2"),
-    )
-    return scene, int(section.get("seed", 0))
+def _convert(kind, value, where: str, key: str):
+    """``value`` as the field type ``kind``, refusing lossy conversions: an
+    int must be integral, a bool a JSON boolean or 0/1, and ``X | None``
+    keeps None.  Values of other or no annotated types pass through."""
+    if type(None) in get_args(kind):
+        if value is None:
+            return None
+        (kind,) = [a for a in get_args(kind) if a is not type(None)]
+    if kind not in (int, float, bool):
+        return value
+    try:
+        if kind is bool:
+            if value in (0, 1):
+                return bool(value)
+        elif not isinstance(value, bool):
+            out = kind(value)
+            if kind is float or isinstance(value, str) or out == value:
+                return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"config {where}: key '{key}' needs {kind.__name__}, got {value!r}")
 
 
-def _parse_dataclass(cls, section: dict, where: str):
-    """Build a config dataclass from its section.  Keys left out take the
-    dataclass's own defaults; int, float and bool fields are converted, other
-    values pass through.  A missing required key raises KeyError, a key that
-    is not a field ValueError."""
-    hints = get_type_hints(cls)
-    check_keys(section, hints, where)
+def _parse_section(target, section: dict, where: str):
+    """Call ``target`` (a config dataclass or a builder function) with the
+    keys of its config section.  The parameters of ``target`` are the only
+    allowed keys; keys left out take its defaults, and annotated values are
+    converted by ``_convert``.  A missing required key raises KeyError, any
+    other bad key or value ValueError."""
+    params = inspect.signature(target).parameters
+    check_keys(section, params, where)
+    hints = get_type_hints(target)
     kwargs = {}
-    for f in fields(cls):
-        if f.name in section:
-            kind, value = hints[f.name], section[f.name]
-            kwargs[f.name] = kind(value) if kind in (int, float, bool) else value
-        elif f.default is MISSING:
-            raise KeyError(f.name)
-    return cls(**kwargs)
+    for name, param in params.items():
+        if name in section:
+            kwargs[name] = _convert(hints.get(name), section[name], where, name)
+        elif param.default is inspect.Parameter.empty:
+            raise KeyError(name)
+    return target(**kwargs)
+
+
+def parse_scene(section: dict) -> tuple[SinusoidScene, int]:
+    """Build the scene from its config section: the arguments of
+    ``build_scene`` plus the noise seed ``seed`` (default 0).  Returns
+    (scene, noise seed)."""
+    where = "section 'scene'"
+    seed = _convert(int, section.get("seed", 0), where, "seed")
+    scene = _parse_section(
+        build_scene, {k: v for k, v in section.items() if k != "seed"}, where
+    )
+    return scene, seed
 
 
 def parse_sampler_config(section: dict) -> SamplerConfig:
-    return _parse_dataclass(SamplerConfig, section, "section 'sampler'")
+    return _parse_section(SamplerConfig, section, "section 'sampler'")
 
 
 def parse_sem_config(section: dict) -> SemConfig:
-    return _parse_dataclass(SemConfig, section, "section 'sem'")
+    return _parse_section(SemConfig, section, "section 'sem'")
+
+
+def parse_report_config(section: dict) -> ReportConfig:
+    return _parse_section(ReportConfig, section, "section 'report'")
 
 
 def load_config(path) -> dict:

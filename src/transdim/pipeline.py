@@ -11,6 +11,7 @@ from . import io
 from .errors import PipelineStageError
 from .model import SampleSet, SummaryModel
 from .report import (
+    ReportConfig,
     background_intensity,
     bma_intensity,
     bms_summary,
@@ -31,11 +32,7 @@ class PipelineConfig:
     noise_seed: int
     sampler: SamplerConfig
     sem: SemConfig
-    bins: int = 256
-
-    def __post_init__(self):
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
+    report: ReportConfig = ReportConfig()
 
 
 def parse_pipeline_config(doc: dict) -> PipelineConfig:
@@ -43,15 +40,13 @@ def parse_pipeline_config(doc: dict) -> PipelineConfig:
     io.check_keys(
         doc, ("format_version", "scene", "sampler", "sem", "report"), "top level"
     )
-    report = doc.get("report", {})
-    io.check_keys(report, ("bins",), "section 'report'")
     scene, noise_seed = io.parse_scene(doc["scene"])
     return PipelineConfig(
         scene=scene,
         noise_seed=noise_seed,
         sampler=io.parse_sampler_config(doc["sampler"]),
         sem=io.parse_sem_config(doc.get("sem", {})),
-        bins=int(report.get("bins", 256)),
+        report=io.parse_report_config(doc.get("report", {})),
     )
 
 
@@ -101,14 +96,14 @@ def _run_report(
     samples: SampleSet,
     model: SummaryModel,
     allocations,
-    bins: int,
+    config: ReportConfig,
     out: Path,
 ) -> None:
     map_k, slots = bms_summary(samples)
     rows = make_summary_table(model, slots)
     io.write_summary_table(out / "summary_table.csv", rows)
-    centers, bma = bma_intensity(samples, bins)
-    _, background = background_intensity(samples, allocations, bins)
+    centers, bma = bma_intensity(samples, config.bins)
+    _, background = background_intensity(samples, allocations, config.bins)
     mixture = mixture_pdf(model, centers)
     io.write_intensities(out / "intensities.csv", centers, bma, background, mixture)
     log.info("summary table: MAP k=%d, %d fitted components", map_k, model.n_components)
@@ -126,7 +121,7 @@ def run_pipeline(config: PipelineConfig, out_dir) -> dict[str, Path]:
     y = _run_scene(config, out)
     samples = _run_sample(y, config, out)
     model, trace = _run_fit(samples, config, out)
-    _run_report(samples, model, trace.final_allocations, config.bins, out)
+    _run_report(samples, model, trace.final_allocations, config.report, out)
     return {
         name: out / name
         for name in (

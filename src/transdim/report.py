@@ -11,6 +11,17 @@ from .model import THETA_VOLUME, AllocationVector, SampleSet, SummaryModel
 from .sem import robust_location_scale
 
 
+@dataclass(frozen=True)
+class ReportConfig:
+    """Settings of the report stage: the histogram bins of the intensities."""
+
+    bins: int = 256
+
+    def __post_init__(self):
+        if self.bins < 2:
+            raise ValueError("bins must be >= 2")
+
+
 def bms_summary(samples: SampleSet) -> tuple[int, list[tuple[float, float]]]:
     """Per-slot (mu, s) summaries after conditioning on the most probable k.
 
@@ -96,26 +107,26 @@ class SummaryRow:
     s_bms: float | None
 
 
-def _match_sorted(proposed_mus: list[float], bms_mus: list[float]) -> list[int | None]:
-    """Monotone minimal-|mu| alignment of BMS slots to proposed components.
+def _match_sorted(longer: list[float], shorter: list[float]) -> list[int | None]:
+    """Monotone minimal-|mu| alignment of a sorted list into a longer one.
 
-    Returns, per proposed component, the matched BMS slot index or None.
-    Both inputs must be sorted.  Assumes len(bms) <= len(proposed); cost is
-    the classic sequence-alignment dynamic program.
+    Returns, per entry of ``longer``, the matched index into ``shorter`` or
+    None.  Both inputs must be sorted and len(shorter) <= len(longer); cost
+    is the classic sequence-alignment dynamic program.
     """
-    np_, nb = len(proposed_mus), len(bms_mus)
+    n_long, n_short = len(longer), len(shorter)
     inf = math.inf
-    # cost[i][j]: best cost matching first j bms slots within first i proposed
-    cost = [[inf] * (nb + 1) for _ in range(np_ + 1)]
-    for i in range(np_ + 1):
+    # cost[i][j]: best cost matching the first j of shorter within the first i
+    cost = [[inf] * (n_short + 1) for _ in range(n_long + 1)]
+    for i in range(n_long + 1):
         cost[i][0] = 0.0
-    for i in range(1, np_ + 1):
-        for j in range(1, min(i, nb) + 1):
+    for i in range(1, n_long + 1):
+        for j in range(1, min(i, n_short) + 1):
             skip = cost[i - 1][j]
-            take = cost[i - 1][j - 1] + abs(proposed_mus[i - 1] - bms_mus[j - 1])
+            take = cost[i - 1][j - 1] + abs(longer[i - 1] - shorter[j - 1])
             cost[i][j] = min(skip, take)
-    match: list[int | None] = [None] * np_
-    i, j = np_, nb
+    match: list[int | None] = [None] * n_long
+    i, j = n_long, n_short
     while j > 0:
         if i > j - 1 and cost[i][j] == cost[i - 1][j]:
             i -= 1
@@ -135,32 +146,19 @@ def make_summary_table(
     fitted component (monotone, injective); sides without a counterpart get
     None entries, rendered as dashes in the CSV.
     """
-    comps = sorted(model.components, key=lambda c: c.mu)
+    comps = [
+        (c.mu, math.sqrt(c.s2), c.pi)
+        for c in sorted(model.components, key=lambda c: c.mu)
+    ]
     slots = sorted(bms_slots)
+    swap = len(slots) > len(comps)
+    longer, shorter = (slots, comps) if swap else (comps, slots)
+    match = _match_sorted([x[0] for x in longer], [x[0] for x in shorter])
     rows: list[SummaryRow] = []
-    if len(slots) <= len(comps):
-        match = _match_sorted([c.mu for c in comps], [s[0] for s in slots])
-        for i, comp in enumerate(comps):
-            b = slots[match[i]] if match[i] is not None else None
-            rows.append(
-                SummaryRow(
-                    0, comp.mu, math.sqrt(comp.s2), comp.pi,
-                    b[0] if b else None, b[1] if b else None,
-                )
-            )
-    else:
-        match = _match_sorted([s[0] for s in slots], [c.mu for c in comps])
-        for j, slot in enumerate(slots):
-            c = comps[match[j]] if match[j] is not None else None
-            rows.append(
-                SummaryRow(
-                    0,
-                    c.mu if c else None,
-                    math.sqrt(c.s2) if c else None,
-                    c.pi if c else None,
-                    slot[0], slot[1],
-                )
-            )
+    for cell, j in zip(longer, match):
+        other = shorter[j] if j is not None else None
+        comp, slot = (other, cell) if swap else (cell, other)
+        rows.append(SummaryRow(0, *(comp or (None,) * 3), *(slot or (None,) * 2)))
     rows.sort(key=lambda r: r.mu if r.mu is not None else r.mu_bms)
     return [
         SummaryRow(i + 1, r.mu, r.s, r.pi, r.mu_bms, r.s_bms)

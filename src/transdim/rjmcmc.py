@@ -29,7 +29,8 @@ from .model import SampleSet, VariableDimSample
 _LOG_PI = math.log(math.pi)
 # Rejects exact and near-exact duplicates, for which D'D is singular.  It
 # cannot see a cluster of distinct frequencies packed below the Fourier
-# resolution; _quadratic_form detects those from the Cholesky factor.
+# resolution; _quadratic_form detects those from the Cholesky factor, or from
+# its failure.
 _MIN_FREQ_SPACING = 1e-6
 # Relative rounding-error bound on y'P y above which the Gram/Cholesky
 # evaluation is replaced by a QR of the design columns.  The bound is only
@@ -94,8 +95,8 @@ class SinusoidScene:
 
 def build_scene(
     n: int,
-    amplitudes,
-    omegas,
+    amplitudes=(),
+    omegas=(),
     snr_db: float | None = None,
     sigma2: float | None = None,
 ) -> SinusoidScene:
@@ -103,7 +104,8 @@ def build_scene(
 
     Amplitude entries may be scalars (phase zero, i.e. the pair (a, 0)) or
     (a_cos, a_sin) pairs.  Exactly one of ``snr_db`` and ``sigma2`` must be
-    given; a scene with zero signal power requires an explicit ``sigma2``.
+    given; a scene with zero signal power, such as one with no sinusoids,
+    requires an explicit ``sigma2``.
     """
     pairs = []
     for a in amplitudes:
@@ -202,35 +204,35 @@ def _log_invgamma_pdf(x: float, shape: float, scale: float) -> float:
 
 def _quadratic_form(
     cols: np.ndarray, y: np.ndarray, yty: float, delta2: float
-) -> float | None:
-    """q = y'y - (delta2/(1+delta2)) y'D(D'D)^-1 D'y, or None when the Gram
-    matrix D'D fails its Cholesky factorization.
+) -> float:
+    """q = y'y - (delta2/(1+delta2)) y'D(D'D)^-1 D'y.
 
     The Cholesky route forms D'D and so squares the condition number of D.
     A small diagonal ratio of the factor flags a near-singular design
     (clusters of frequencies below the Fourier resolution); there the
     rounding error on y'D(D'D)^-1 D'y is bounded to first order by
     eps * (sum_i |a_i| ||d_i||)^2, with a the least-squares coefficients.
-    When that bound exceeds _GRAM_ERROR_TOL * q, or q leaves its analytic
-    range, q is re-evaluated from a QR factorization of D.  The result
-    always lies in [y'y/(1+delta2), y'y].
+    When the factorization fails, that bound exceeds _GRAM_ERROR_TOL * q, or
+    q leaves its analytic range, q is re-evaluated from a QR factorization
+    of D.  The result always lies in [y'y/(1+delta2), y'y].
     """
     g = cols.T @ cols
+    shrink = delta2 / (1.0 + delta2)
+    floor = yty / (1.0 + delta2)
     try:
         lo = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        return None
-    shrink = delta2 / (1.0 + delta2)
-    floor = yty / (1.0 + delta2)
-    w = solve_triangular(lo, cols.T @ y, lower=True, check_finite=False)
-    q = yty - shrink * float(w @ w)
-    if floor <= q <= yty:
-        diag = lo.diagonal().tolist()  # list min/max: cheaper than numpy at this size
-        if min(diag) ** 2 >= _GRAM_DIAG_RATIO * max(diag) ** 2:
-            return q
-        a = solve_triangular(lo.T, w, lower=False, check_finite=False)
-        if _EPS * float(np.abs(a) @ np.sqrt(np.diag(g))) ** 2 <= _GRAM_ERROR_TOL * q:
-            return q
+        pass  # D'D is numerically singular; D itself still has a QR
+    else:
+        w = solve_triangular(lo, cols.T @ y, lower=True, check_finite=False)
+        q = yty - shrink * float(w @ w)
+        if floor <= q <= yty:
+            diag = lo.diagonal().tolist()  # list min/max: cheaper than numpy at this size
+            if min(diag) ** 2 >= _GRAM_DIAG_RATIO * max(diag) ** 2:
+                return q
+            a = solve_triangular(lo.T, w, lower=False, check_finite=False)
+            if _EPS * float(np.abs(a) @ np.sqrt(np.diag(g))) ** 2 <= _GRAM_ERROR_TOL * q:
+                return q
     proj = np.linalg.qr(cols, mode="reduced")[0].T @ y
     return min(max(yty - shrink * float(proj @ proj), floor), yty)
 
@@ -245,12 +247,7 @@ def _log_target_from_cols(
 ) -> float:
     """Marginal log target given precomputed design columns."""
     n = y.shape[0]
-    if k == 0:
-        q = yty
-    else:
-        q = _quadratic_form(cols, y, yty, delta2)
-        if q is None or q <= 0.0:
-            return -math.inf
+    q = _quadratic_form(cols, y, yty, delta2) if k else yty
     out = (
         k * math.log(config.lambda_k)
         - math.lgamma(k + 1)  # truncated Poisson prior on k, constant dropped
@@ -268,9 +265,9 @@ def log_target(
 ) -> float:
     """Unnormalized log posterior of (k, omegas, delta2) given y.
 
-    Returns -inf when frequencies come closer than the spacing guard or the
-    design Gram matrix fails its Cholesky factorization.  Numerically
-    near-singular designs are evaluated stably (see ``_quadratic_form``).
+    Returns -inf only when frequencies come closer than the spacing guard.
+    Numerically near-singular designs are evaluated stably (see
+    ``_quadratic_form``).
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size != k:
@@ -424,8 +421,6 @@ class _Engine:
         cand_omegas = np.append(self.omegas, w_new)
         cand_cols = np.concatenate([self.cols, self._freq_cols(w_new)], axis=1)
         logf1 = self._eval(cand_cols, self.k + 1, self.delta2)
-        if logf1 == -math.inf:
-            return
         log_alpha = _birth_log_alpha(
             self.logf, logf1, self._q_birth(w_new), b_k, 0.5
         )
@@ -465,8 +460,6 @@ class _Engine:
             cand_cols = self.cols.copy()
             cand_cols[:, 2 * j : 2 * j + 2] = self._freq_cols(w_new)
             logf1 = self._eval(cand_cols, self.k, self.delta2)
-            if logf1 == -math.inf:
-                continue
             log_alpha = _update_log_alpha(
                 self.logf,
                 logf1,

@@ -38,6 +38,7 @@ from .model import (
 IQR_TO_SD = float(2.0 * norm.ppf(0.75))
 
 S_MIN = 1e-4  # floor on estimated component standard deviations
+MIN_SLOT_SAMPLES = 20  # fewest k = k' samples initialize_model prefers for slots
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,6 @@ class SemIterationRecord:
 
     model: SummaryModel
     j_value: float
-    component_counts: tuple[int, ...]  # samples allocating each Gaussian label
-    background_count: int  # total points allocated to the background
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,10 @@ class SemTrace:
 # ---------------------------------------------------------------------------
 
 
-def robust_location_scale(values, s_min: float = S_MIN) -> tuple[float, float]:
+def robust_location_scale(values) -> tuple[float, float]:
     """Median and IQR-based scale of a batch of values.
 
-    The scale is max(IQR / 1.34898, s_min); the constant is twice the 0.75
+    The scale is max(IQR / 1.34898, S_MIN); the constant is twice the 0.75
     Gaussian quantile, so the estimator is consistent for the standard
     deviation under Gaussian data.  Requires at least two values.
     """
@@ -99,7 +98,7 @@ def robust_location_scale(values, s_min: float = S_MIN) -> tuple[float, float]:
         raise DegenerateDataError(f"need at least 2 values, got {v.size}")
     mu = float(np.median(v))
     q1, q3 = np.quantile(v, [0.25, 0.75], method="inverted_cdf")
-    s = max(float(q3 - q1) / IQR_TO_SD, s_min)
+    s = max(float(q3 - q1) / IQR_TO_SD, S_MIN)
     return mu, s
 
 
@@ -118,13 +117,11 @@ def choose_L(samples: SampleSet, percentile: float) -> int:
     return len(counts) - 1  # unreachable: cumulative reaches 1
 
 
-def initialize_model(
-    samples: SampleSet, L: int, s_min: float = S_MIN, min_slot_samples: int = 20
-) -> SummaryModel:
+def initialize_model(samples: SampleSet, L: int) -> SummaryModel:
     """Initial model from robust per-slot estimates of the sorted frequencies.
 
     Slots come from the samples with k = L exactly.  When fewer than
-    ``min_slot_samples`` such samples exist, the largest k' <= L with enough
+    MIN_SLOT_SAMPLES such samples exist, the largest k' <= L with enough
     samples is used instead and the missing components are created by
     splitting the widest slot.  Probabilities of presence start at 0.9; the
     background intensity is set so its expected count matches the mean excess
@@ -138,7 +135,7 @@ def initialize_model(
 
     counts = np.bincount(ks, minlength=L + 1)
     kprime = 0
-    for threshold in (min_slot_samples, 2):
+    for threshold in (MIN_SLOT_SAMPLES, 2):
         eligible = [k for k in range(1, L + 1) if counts[k] >= threshold]
         if eligible:
             kprime = max(eligible)
@@ -154,14 +151,14 @@ def initialize_model(
     )
     comps = []
     for j in range(kprime):
-        mu, s = robust_location_scale(slots[:, j], s_min)
+        mu, s = robust_location_scale(slots[:, j])
         comps.append(GaussianComponent(mu, s * s, 0.9))
 
     while len(comps) < L:  # pad by splitting the widest slot
         widest = max(range(len(comps)), key=lambda i: comps[i].s2)
         c = comps.pop(widest)
         s = math.sqrt(c.s2)
-        half = max(s / 2.0, s_min)
+        half = max(s / 2.0, S_MIN)
         comps.append(GaussianComponent(c.mu - s / 2.0, half * half, 0.9))
         comps.append(GaussianComponent(c.mu + s / 2.0, half * half, 0.9))
 
@@ -170,11 +167,7 @@ def initialize_model(
 
 
 def m_step(
-    theta_flat: np.ndarray,
-    label_flat: np.ndarray,
-    m: int,
-    previous: SummaryModel,
-    s_min: float = S_MIN,
+    theta_flat: np.ndarray, label_flat: np.ndarray, m: int, previous: SummaryModel
 ) -> SummaryModel:
     """Robust M-step given drawn allocations.
 
@@ -195,7 +188,7 @@ def m_step(
         if used < 2:
             comps.append(GaussianComponent(prev.mu, prev.s2, pi_min))
             continue
-        mu, s = robust_location_scale(vals, s_min)
+        mu, s = robust_location_scale(vals)
         pi = min(max(used / m, pi_min), 1.0)
         comps.append(GaussianComponent(mu, s * s, pi))
     n0_total = int((label_flat == 0).sum())
@@ -264,7 +257,7 @@ def run_sem(samples: SampleSet, config: SemConfig) -> tuple[SummaryModel, SemTra
     model = initialize_model(samples, L)
     rng = np.random.default_rng(config.seed)
     groups = _group_by_k(samples)
-    total_points = sum(k * len(idx) for k, (idx, _) in groups.items())
+    theta_flat = np.concatenate([groups[k][1].ravel() for k in sorted(groups)])
 
     # Greedy initial allocations under the initial model.
     states: dict[int, list[np.ndarray]] = {}
@@ -300,32 +293,21 @@ def run_sem(samples: SampleSet, config: SemConfig) -> tuple[SummaryModel, SemTra
                 states[k] = [labels, lc, lq]
 
             # M-step
-            theta_flat = np.concatenate(
-                [groups[k][1].ravel() for k in sorted(groups)]
-            ) if total_points else np.empty(0)
             label_flat = np.concatenate(
                 [states[k][0].ravel() for k in sorted(groups)]
-            ) if total_points else np.empty(0, dtype=np.int64)
-            model = m_step(theta_flat, label_flat, m, model)
-
-            counts = tuple(
-                int((label_flat == l).sum()) for l in range(1, L + 1)
             )
-            background = int((label_flat == 0).sum())
-            if sum(counts) + background != total_points:
+            labelled = int(np.count_nonzero((label_flat >= 0) & (label_flat <= L)))
+            if labelled != theta_flat.size:
                 raise RuntimeError(
-                    f"S-step lost points: {sum(counts) + background} labelled "
-                    f"of {total_points}"
+                    f"S-step lost points: {labelled} labelled of {theta_flat.size}"
                 )
+            model = m_step(theta_flat, label_flat, m, model)
             # J only fills the trace: it runs on the worker beside the next
             # S-step, reading the grouped draws and this immutable model.
-            pending.append(
-                (model, pool.submit(_criterion_grouped, groups, m, model),
-                 counts, background)
-            )
+            pending.append((model, pool.submit(_criterion_grouped, groups, m, model)))
         records = [
-            SemIterationRecord(it_model, j_value.result(), it_counts, it_background)
-            for it_model, j_value, it_counts, it_background in pending
+            SemIterationRecord(it_model, j_value.result())
+            for it_model, j_value in pending
         ]
 
     # Final estimate: component-wise median over the averaging window.
@@ -347,7 +329,7 @@ def run_sem(samples: SampleSet, config: SemConfig) -> tuple[SummaryModel, SemTra
     final_allocs: list[AllocationVector | None] = [None] * m
     for k in sorted(groups):
         idx, _ = groups[k]
-        labels = relabel[states[k][0]] if L else states[k][0]
+        labels = relabel[states[k][0]]
         for row, i in enumerate(idx):
             final_allocs[i] = AllocationVector(tuple(int(l) for l in labels[row]))
     return final, SemTrace(tuple(records), tuple(final_allocs))

@@ -23,7 +23,6 @@ from transdim import (
     bms_summary,
     build_scene,
     choose_L,
-    exact_allocation_posterior,
     log_target,
     robust_location_scale,
     run_sampler,
@@ -49,6 +48,7 @@ from flagship import (
     criterion1_seed_ok,
     criterion3_seed_ok,
 )
+from oracles import exact_allocation_posterior
 from test_rjmcmc import (
     brute_force_log_evidence,
     grid_posterior_pk,

@@ -14,8 +14,6 @@ from transdim import (
     InfeasibleModelError,
     SummaryModel,
     VariableDimSample,
-    enumerate_allocations,
-    exact_allocation_posterior,
 )
 from transdim.allocation import (
     _batch_imh_step,
@@ -23,7 +21,13 @@ from transdim.allocation import (
     _batch_propose,
     _log_weight_matrix,
 )
-from transdim.model import _log_gauss_matrix, log_density_completed
+from transdim.model import _log_gauss_matrix
+
+from oracles import (
+    enumerate_allocations,
+    exact_allocation_posterior,
+    log_density_completed,
+)
 
 
 def comp(mu, s2=1.0, pi=0.5):

@@ -337,6 +337,68 @@ def test_config_section_types_and_required_key():
 
 
 @pytest.mark.parametrize(
+    "section, key, value",
+    [("sampler", "sample_delta2", "false"), ("sampler", "sample_delta2", 2),
+     ("sampler", "burn_in", 0.9), ("sampler", "thinning", 2.7),
+     ("sampler", "n_sweeps", True), ("sampler", "rw_scale", "fast"),
+     ("sampler", "periodogram_grid", 100.5), ("sem", "n_iterations", "6.5"),
+     ("sem", "init_percentile", None), ("scene", "n", 64.5), ("scene", "seed", "x"),
+     ("scene", "snr_db", "7 dB"), ("report", "bins", 2.5)],
+)
+def test_config_rejects_lossy_values(section, key, value):
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    doc[section][key] = value
+    with pytest.raises(ValueError, match=f"config section '{section}': key '{key}'"):
+        parse_pipeline_config(doc)
+
+
+def test_config_exact_conversions():
+    cfg = tdio.parse_sampler_config(
+        {"n_sweeps": 40.0, "sample_delta2": 0, "rw_scale": "0.01", "periodogram_grid": None}
+    )
+    assert (cfg.n_sweeps, cfg.sample_delta2, cfg.rw_scale, cfg.periodogram_grid) == (
+        40, False, 0.01, None
+    )
+    assert type(cfg.n_sweeps) is int and type(cfg.rw_scale) is float
+    scene, seed = tdio.parse_scene({"n": "32", "sigma2": 1, "seed": 3.0})
+    assert (scene.n, scene.sigma2, scene.k, seed) == (32, 1.0, 0, 3)
+
+
+def test_cli_lossy_config_exits_1(tmp_path):
+    bad = dict(SMALL_CONFIG, sampler=dict(SMALL_CONFIG["sampler"], thinning=2.7))
+    r = CliRunner().invoke(
+        main, ["pipeline", "--config", str(write_config(tmp_path, bad)),
+               "--out", str(tmp_path / "x")],
+    )
+    assert r.exit_code == 1, r.output
+    assert "key 'thinning' needs int, got 2.7" in r.output
+
+
+def test_cli_report_bad_bins_exits_1(tmp_path):
+    samples = tmp_path / "samples.ndjson"
+    draws = (VariableDimSample(1, (1.0,)), VariableDimSample(1, (1.1,)))
+    tdio.write_sample_set(samples, SampleSet(draws))
+    model = tmp_path / "model.json"
+    tdio.write_model(model, SummaryModel((GaussianComponent(1.0, 0.01, 0.5),), eta=0.1))
+    allocations = tmp_path / "allocations.ndjson"
+    tdio.write_allocations(allocations, [AllocationVector((1,))] * 2)
+
+    def report(bins, out):
+        return CliRunner().invoke(
+            main, ["report", "--samples", str(samples), "--model", str(model),
+                   "--allocations", str(allocations), "--out", str(tmp_path / out),
+                   "--bins", str(bins)],
+        )
+
+    r = report(1, "r1")
+    assert r.exit_code == 1, r.output
+    assert "bins must be >= 2" in r.output
+    assert not (tmp_path / "r1").exists()
+    r = report(2, "r2")
+    assert r.exit_code == 0, r.output
+
+
+@pytest.mark.parametrize(
     "section, key",
     [("sampler", "burnin"), ("sem", "n_iter"), ("scene", "snr"), ("report", "bin"),
      (None, "samplers")],

@@ -1,4 +1,5 @@
-"""Core model: allocation enumeration and exact density evaluation."""
+"""Core model: the exact enumeration and completed-density oracles, and the
+marginal density the fit runs, checked against them."""
 import itertools
 import math
 
@@ -9,16 +10,19 @@ from hypothesis import strategies as st
 
 from transdim import (
     AllocationVector,
-    EnumerationCapError,
     GaussianComponent,
     SummaryModel,
     VariableDimSample,
-    count_allocations,
-    enumerate_allocations,
-    log_density_completed,
     simulate_sample_set,
 )
 from transdim.model import _LOG_2PI, _log_marginal_batch, _subset_log_priors
+
+from oracles import (
+    EnumerationCapError,
+    count_allocations,
+    enumerate_allocations,
+    log_density_completed,
+)
 
 LOG_STD_NORMAL_MODE = -0.5 * math.log(2.0 * math.pi)
 

@@ -18,6 +18,7 @@ from transdim import (
     synthesize_signal,
 )
 from transdim.rjmcmc import (
+    _MIN_FREQ_SPACING,
     _birth_log_alpha,
     _death_log_alpha,
     _Engine,
@@ -271,14 +272,18 @@ def test_log_target_seed8_frozen_state():
     delta2=st.sampled_from([1.0, 10.0, 100.0]),
 )
 def test_log_target_clustered_frequencies(k, center, offsets, noise_seed, delta2):
-    """Frequencies packed within 0.1 rad (n = 64): every finite target keeps
-    q in [y'y/(1+delta2), y'y] and matches the SVD reference."""
+    """Frequencies packed within 0.1 rad (n = 64): the target is -inf only
+    under the spacing guard.  Otherwise it is finite, also where the Gram
+    matrix fails its Cholesky factorization, keeps q in
+    [y'y/(1+delta2), y'y] and matches the SVD reference."""
     y = synthesize_signal(flagship_scene(), seed=noise_seed)
     omegas = [center + o for o in offsets[:k]]
     config = SamplerConfig(n_sweeps=10, lambda_k=2.0, delta2=delta2)
     got = log_target(k, omegas, delta2, y, config)
-    if got == -math.inf:  # spacing guard or failed factorization
+    if np.min(np.diff(np.sort(omegas))) < _MIN_FREQ_SPACING:
+        assert got == -math.inf
         return
+    assert math.isfinite(got)
     yty = float(y @ y)
     q = target_q(k, omegas, delta2, y, config)
     assert yty / (1.0 + delta2) * (1 - 1e-12) <= q <= yty * (1 + 1e-12)
