@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 import os
+from collections.abc import Sequence
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -220,8 +221,15 @@ def write_acceptance(path, report: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _require_object(section, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ValueError(f"config {where} must be a JSON object")
+
+
 def check_keys(section: dict, allowed, where: str) -> None:
-    """Raise ValueError naming every key of ``section`` not in ``allowed``."""
+    """Raise ValueError if ``section`` is not a JSON object, or naming every
+    key of it not in ``allowed``."""
+    _require_object(section, where)
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ValueError(f"unknown key(s) in config {where}: {', '.join(unknown)}")
@@ -229,14 +237,18 @@ def check_keys(section: dict, allowed, where: str) -> None:
 
 def _convert(kind, value, where: str, key: str):
     """``value`` as the field type ``kind``, refusing lossy conversions: an
-    int must be integral, a bool a JSON boolean or 0/1, and ``X | None``
-    keeps None.  Values of other or no annotated types pass through."""
+    int must be integral, a bool a JSON boolean or 0/1, a ``Sequence`` a JSON
+    array, and ``X | None`` keeps None."""
     if type(None) in get_args(kind):
         if value is None:
             return None
         (kind,) = [a for a in get_args(kind) if a is not type(None)]
+    if kind is Sequence:
+        if isinstance(value, list):
+            return value
+        raise ValueError(f"config {where}: key '{key}' needs a list, got {value!r}")
     if kind not in (int, float, bool):
-        return value
+        raise TypeError(f"config {where}: key '{key}' has no checked type ({kind!r})")
     try:
         if kind is bool:
             if value in (0, 1):
@@ -273,6 +285,7 @@ def parse_scene(section: dict) -> tuple[SinusoidScene, int]:
     ``build_scene`` plus the noise seed ``seed`` (default 0).  Returns
     (scene, noise seed)."""
     where = "section 'scene'"
+    _require_object(section, where)
     seed = _convert(int, section.get("seed", 0), where, "seed")
     scene = _parse_section(
         build_scene, {k: v for k, v in section.items() if k != "seed"}, where
@@ -294,8 +307,7 @@ def parse_report_config(section: dict) -> ReportConfig:
 
 def load_config(path) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
+    _require_object(doc, "top level")
     return doc
 
 

@@ -18,6 +18,7 @@ piecewise-constant proposal built from the periodogram of y.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,8 @@ class SinusoidScene:
 
 def build_scene(
     n: int,
-    amplitudes=(),
-    omegas=(),
+    amplitudes: Sequence = (),
+    omegas: Sequence = (),
     snr_db: float | None = None,
     sigma2: float | None = None,
 ) -> SinusoidScene:

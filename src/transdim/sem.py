@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .allocation import (
-    _batch_imh_step,
-    _batch_log_completed,
-    _batch_propose,
-    _log_weight_matrix,
-)
+from .allocation import _propose, _s_step, _visit_orders
 from .errors import DegenerateDataError
 from .model import (
     THETA_VOLUME,
@@ -39,6 +34,7 @@ IQR_TO_SD = float(2.0 * norm.ppf(0.75))
 
 S_MIN = 1e-4  # floor on estimated component standard deviations
 MIN_SLOT_SAMPLES = 20  # fewest k = k' samples initialize_model prefers for slots
+CRITERION_ROWS = 512  # samples per exact-DP batch in the criterion J
 
 
 @dataclass(frozen=True)
@@ -229,7 +225,12 @@ def _group_by_k(samples: SampleSet) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 def _criterion_grouped(groups, m: int, model: SummaryModel) -> float:
     total = 0.0
     for k, (idx, thetas) in groups.items():
-        vals = _log_marginal_batch(thetas, model)
+        # Rows are independent in the DP, so batches of rows bound its working
+        # memory (two J calls may run at once) and leave every value unchanged.
+        vals = np.concatenate([
+            _log_marginal_batch(thetas[i:i + CRITERION_ROWS], model)
+            for i in range(0, len(thetas), CRITERION_ROWS)
+        ])
         s = float(vals.sum())
         if s == -np.inf or np.isnan(s):
             return -np.inf
@@ -247,10 +248,14 @@ def run_sem(samples: SampleSet, config: SemConfig) -> tuple[SummaryModel, SemTra
     model is the component-wise median of the last ``averaging_window``
     iterates, sorted by mean.  The run is a pure function of (samples, seed).
 
-    Each iteration's criterion J (``SemIterationRecord.j_value``) is computed
-    on one worker thread, beside the next iteration's S-step, and is
-    bit-identical to ``criterion(samples, record.model)`` computed inline.  An
-    error in it is raised from this call; the worker ends with the call.
+    Each iteration's criterion J (``SemIterationRecord.j_value``) is queued
+    on one worker thread, which computes it beside the next iteration's
+    S-step.  Once the last S-step is done, the calling thread cancels the J
+    calls the worker has not started, from the back of the queue, and
+    computes them itself while the worker finishes the front, so both cores
+    work on the queue.  Every J is the same call on the same inputs, and is
+    bit-identical to ``criterion(samples, record.model)`` computed inline.
+    An error in any J is raised from this call; the worker ends with the call.
     """
     m = len(samples)
     L = choose_L(samples, config.init_percentile)
@@ -260,37 +265,23 @@ def run_sem(samples: SampleSet, config: SemConfig) -> tuple[SummaryModel, SemTra
     theta_flat = np.concatenate([groups[k][1].ravel() for k in sorted(groups)])
 
     # Greedy initial allocations under the initial model.
-    states: dict[int, list[np.ndarray]] = {}
+    states: dict[int, tuple[np.ndarray, ...]] = {}
     for k in sorted(groups):
         _, thetas = groups[k]
-        log_n = _log_gauss_matrix(thetas, model)
-        log_w = _log_weight_matrix(log_n, model)
-        labels, lq = _batch_propose(log_w, model.eta, rng, mode="greedy")
-        lc = _batch_log_completed(labels, log_n, model)
-        states[k] = [labels, lc, lq]
+        orders = _visit_orders(rng, len(thetas), k)
+        states[k] = _propose(_log_gauss_matrix(thetas, model), model, orders)
 
     pending = []
     with ThreadPoolExecutor(max_workers=1) as pool:
         for r in range(config.n_iterations):
-            # S-step
+            # S-step.  After the first iteration the model has changed in the
+            # last M-step, so the cached chain state is refreshed first.
             for k in sorted(groups):
                 _, thetas = groups[k]
-                labels, lc, lq = states[k]
-                log_n = _log_gauss_matrix(thetas, model)
-                log_w = _log_weight_matrix(log_n, model)
-                if r > 0:
-                    # Model changed in the last M-step: recompute the completed
-                    # density and re-score the kept labels under a fresh uniform
-                    # visit order (a Gibbs refresh of the order variable).
-                    lc = _batch_log_completed(labels, log_n, model)
-                    _, lq = _batch_propose(
-                        log_w, model.eta, rng, mode="follow", follow=labels
-                    )
-                for _ in range(config.inner_imh_steps):
-                    labels, lc, lq, _ = _batch_imh_step(
-                        labels, lc, lq, log_w, log_n, model, rng
-                    )
-                states[k] = [labels, lc, lq]
+                states[k] = _s_step(
+                    *states[k], _log_gauss_matrix(thetas, model), model, rng,
+                    config.inner_imh_steps, refresh=r > 0,
+                )
 
             # M-step
             label_flat = np.concatenate(
@@ -305,9 +296,18 @@ def run_sem(samples: SampleSet, config: SemConfig) -> tuple[SummaryModel, SemTra
             # J only fills the trace: it runs on the worker beside the next
             # S-step, reading the grouped draws and this immutable model.
             pending.append((model, pool.submit(_criterion_grouped, groups, m, model)))
+
+        # The S-steps are done: take the J calls the worker has not started,
+        # from the back of its queue, while it finishes the front.
+        j_values: list[float | None] = [None] * len(pending)
+        for i in reversed(range(len(pending))):
+            it_model, future = pending[i]
+            if not future.cancel():
+                break
+            j_values[i] = _criterion_grouped(groups, m, it_model)
         records = [
-            SemIterationRecord(it_model, j_value.result())
-            for it_model, j_value in pending
+            SemIterationRecord(it_model, future.result() if j is None else j)
+            for (it_model, future), j in zip(pending, j_values)
         ]
 
     # Final estimate: component-wise median over the averaging window.

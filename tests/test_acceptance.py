@@ -31,11 +31,7 @@ from transdim import (
     synthesize_signal,
 )
 from transdim import io as tdio
-from transdim.allocation import (
-    _batch_log_completed,
-    _batch_propose,
-    _log_weight_matrix,
-)
+from transdim.allocation import _propose, _visit_orders
 from transdim.cli import main as cli_main
 from transdim.model import _log_gauss_matrix, _log_marginal_batch
 from transdim.pipeline import parse_pipeline_config, run_pipeline
@@ -257,12 +253,14 @@ def test_criterion_04_allocation_oracle_equivalence():
         k = x.k
         exact = exact_allocation_posterior(x, model)
 
+        # 10^4 independent proposals for the one sample, drawn as one batch
+        # of rows, then the accept decisions in sequence
         n_steps = 10**4
-        thetas = np.broadcast_to(np.array(x.theta), (n_steps, k)).copy()
-        log_n = _log_gauss_matrix(thetas, model)
-        log_w = _log_weight_matrix(log_n, model)
-        prop_labels, prop_lq = _batch_propose(log_w, model.eta, rng, mode="sample")
-        prop_lc = _batch_log_completed(prop_labels, log_n, model)
+        log_n = _log_gauss_matrix(np.array([x.theta]).reshape(1, k), model)
+        orders = _visit_orders(rng, n_steps, k)
+        prop_labels, prop_lc, prop_lq = _propose(
+            log_n, model, orders, rng.random((k, n_steps))
+        )
         log_u = np.log(rng.random(n_steps))
 
         cur = tuple(int(v) for v in prop_labels[0])

@@ -2,6 +2,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +412,53 @@ def test_config_rejects_unknown_keys(section, key):
     where = "top level" if section is None else f"section '{section}'"
     with pytest.raises(ValueError, match=f"{where}: {key}$"):
         parse_pipeline_config(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("omegas", 0.63), ("amplitudes", 20.0), ("omegas", "0.63"),
+                   ("amplitudes", {"a": 1.0}), ("omegas", None)],
+    ids=["omegas-float", "amplitudes-float", "omegas-str", "amplitudes-object",
+         "omegas-null"],
+)
+def test_config_rejects_non_list_values(key, value):
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    doc["scene"][key] = value
+    with pytest.raises(ValueError, match=f"config section 'scene': key '{key}' needs a list"):
+        parse_pipeline_config(doc)
+
+
+def test_cli_non_list_config_exits_1_without_traceback(tmp_path):
+    bad = dict(SMALL_CONFIG, scene=dict(SMALL_CONFIG["scene"], omegas=0.63))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    r = subprocess.run(
+        [sys.executable, "-m", "transdim.cli", "pipeline",
+         "--config", str(write_config(tmp_path, bad)), "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert r.returncode == 1, r.stderr
+    assert "key 'omegas' needs a list, got 0.63" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("section", ["scene", "sampler", "sem", "report", None])
+@pytest.mark.parametrize("value", ["x", [1], None], ids=["str", "list", "null"])
+def test_config_section_must_be_object(section, value):
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    if section is None:
+        doc, where = value, "top level"
+    else:
+        doc[section], where = value, f"section '{section}'"
+    with pytest.raises(ValueError, match=f"^config {where} must be a JSON object$"):
+        parse_pipeline_config(doc)
+
+
+def test_load_config_requires_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="^config top level must be a JSON object$"):
+        tdio.load_config(path)
 
 
 def test_shipped_configs_parse():

@@ -2,6 +2,7 @@
 import itertools
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -268,6 +269,21 @@ def test_criterion_zero_density_is_minus_inf():
     assert criterion(ss, m) == -math.inf
 
 
+def test_criterion_row_batches_leave_j_unchanged(monkeypatch):
+    """The exact DP runs on batches of CRITERION_ROWS samples; its rows are
+    independent, so any batch size gives the same J bit for bit."""
+    m = SummaryModel(
+        (comp(0.6, 0.03**2, 0.9), comp(1.4, 0.05**2, 0.7), comp(2.3, 0.04**2, 1.0)),
+        eta=0.05,
+    )
+    ss = simulate_sample_set(m, 400, np.random.default_rng(52))
+    whole = criterion(ss, m)
+    assert math.isfinite(whole)
+    for rows in (1, 7, 64):
+        monkeypatch.setattr(sem, "CRITERION_ROWS", rows)
+        assert criterion(ss, m) == whole
+
+
 # ---------------------------------------------------------------------------
 # run_sem
 # ---------------------------------------------------------------------------
@@ -380,16 +396,77 @@ def test_run_sem_raises_criterion_error_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == threads_before
 
 
+def worker_slowed(monkeypatch, on_caller):
+    """Make J sleep 0.2 s on every thread but the one that calls run_sem,
+    and run ``on_caller(groups, m, model)`` for the J calls made there.
+    Returns a function that runs run_sem on a helper thread, and the list of
+    threads each J call ran on."""
+    real = sem._criterion_grouped
+    caller = []
+    ran_on = []
+
+    def criterion_grouped(groups, m, model):
+        me = threading.current_thread()
+        ran_on.append(me)
+        if me is caller[0]:
+            return on_caller(groups, m, model)
+        time.sleep(0.2)
+        return real(groups, m, model)
+
+    monkeypatch.setattr(sem, "_criterion_grouped", criterion_grouped)
+
+    def fit(ss, config):
+        def call():
+            caller.append(threading.current_thread())
+            return run_sem(ss, config)
+
+        return run_bounded(call)
+
+    return fit, caller, ran_on
+
+
+def test_run_sem_caller_finishes_j_queue(monkeypatch):
+    """With the worker slowed, the thread that called run_sem takes the J
+    calls the worker has not started; every J still equals the inline
+    criterion, in iteration order."""
+    ss = three_component_draws()
+    fit, caller, ran_on = worker_slowed(monkeypatch, sem._criterion_grouped)
+    threads_before = threading.active_count()
+    _, trace = fit(ss, SemConfig(n_iterations=12, seed=2, averaging_window=3))
+    assert threading.active_count() == threads_before
+    assert len(ran_on) == 12
+    on_caller = sum(t is caller[0] for t in ran_on)
+    assert 0 < on_caller < 12
+    monkeypatch.undo()
+    assert [rec.j_value for rec in trace.iterations] == [
+        criterion(ss, rec.model) for rec in trace.iterations
+    ]
+
+
+def test_run_sem_raises_inline_criterion_error(monkeypatch):
+    ss = three_component_draws()
+
+    def fails(*args):
+        raise ArithmeticError("injected inline criterion failure")
+
+    fit, caller, ran_on = worker_slowed(monkeypatch, fails)
+    threads_before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="injected inline criterion failure"):
+        fit(ss, SemConfig(n_iterations=6, seed=2))
+    assert any(t is caller[0] for t in ran_on)
+    assert threading.active_count() == threads_before
+
+
 def test_run_sem_lost_points_raise(monkeypatch):
     """The label-conservation check raises (and so survives python -O)."""
     ss = three_component_draws()
-    real = sem._batch_imh_step
+    real = sem._s_step
 
-    def label_out_of_range(labels, *args):
-        out = real(labels, *args)
+    def label_out_of_range(*args, **kwargs):
+        out = real(*args, **kwargs)
         return (np.full_like(out[0], 99),) + out[1:]
 
-    monkeypatch.setattr(sem, "_batch_imh_step", label_out_of_range)
+    monkeypatch.setattr(sem, "_s_step", label_out_of_range)
     with pytest.raises(RuntimeError, match="lost points"):
         run_bounded(
             lambda: run_sem(ss, SemConfig(n_iterations=1, inner_imh_steps=1))
