@@ -14,9 +14,10 @@ import inspect
 import json
 import math
 import os
+import sys
 from collections.abc import Sequence
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -235,18 +236,38 @@ def check_keys(section: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown key(s) in config {where}: {', '.join(unknown)}")
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number within the finite float range
+    (true and false are not numbers)."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return is_number and abs(value) <= sys.float_info.max
+
+
+def _is_pair(value) -> bool:
+    """Whether ``value`` is a list or tuple of two numbers."""
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_is_number, value)))
+
+
 def _convert(kind, value, where: str, key: str):
     """``value`` as the field type ``kind``, refusing lossy conversions: an
-    int must be integral, a bool a JSON boolean or 0/1, a ``Sequence`` a JSON
-    array, and ``X | None`` keeps None."""
+    int must be integral, a float finite, a bool a JSON boolean or 0/1, and
+    ``X | None`` keeps None.  A ``Sequence[float]`` takes a JSON array of
+    numbers; ``Sequence[float | tuple[float, float]]`` also takes pairs."""
     if type(None) in get_args(kind):
         if value is None:
             return None
         (kind,) = [a for a in get_args(kind) if a is not type(None)]
-    if kind is Sequence:
-        if isinstance(value, list):
+    if get_origin(kind) is Sequence:
+        if not isinstance(value, list):
+            raise ValueError(f"config {where}: key '{key}' needs a list, got {value!r}")
+        pairs = tuple[float, float] in get_args(get_args(kind)[0])
+        if all(_is_number(v) or pairs and _is_pair(v) for v in value):
             return value
-        raise ValueError(f"config {where}: key '{key}' needs a list, got {value!r}")
+        entries = "numbers or pairs of numbers" if pairs else "numbers"
+        raise ValueError(
+            f"config {where}: key '{key}' needs a list of finite {entries}, got {value!r}"
+        )
     if kind not in (int, float, bool):
         raise TypeError(f"config {where}: key '{key}' has no checked type ({kind!r})")
     try:
@@ -255,11 +276,15 @@ def _convert(kind, value, where: str, key: str):
                 return bool(value)
         elif not isinstance(value, bool):
             out = kind(value)
-            if kind is float or isinstance(value, str) or out == value:
+            if kind is float:
+                if math.isfinite(out):
+                    return out
+            elif isinstance(value, str) or out == value:
                 return out
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"config {where}: key '{key}' needs {kind.__name__}, got {value!r}")
+    what = "a finite float" if kind is float else kind.__name__
+    raise ValueError(f"config {where}: key '{key}' needs {what}, got {value!r}")
 
 
 def _parse_section(target, section: dict, where: str):
@@ -267,7 +292,7 @@ def _parse_section(target, section: dict, where: str):
     keys of its config section.  The parameters of ``target`` are the only
     allowed keys; keys left out take its defaults, and annotated values are
     converted by ``_convert``.  A missing required key raises KeyError, any
-    other bad key or value ValueError."""
+    other bad key or value ValueError; every message names the section."""
     params = inspect.signature(target).parameters
     check_keys(section, params, where)
     hints = get_type_hints(target)
@@ -276,8 +301,13 @@ def _parse_section(target, section: dict, where: str):
         if name in section:
             kwargs[name] = _convert(hints.get(name), section[name], where, name)
         elif param.default is inspect.Parameter.empty:
-            raise KeyError(name)
-    return target(**kwargs)
+            raise KeyError(f"config {where}: missing required key '{name}'")
+    # ``target`` computes with the values, e.g. 10^(snr_db/10) or an n-row
+    # design matrix: an overflow or a refused allocation is a bad value too.
+    try:
+        return target(**kwargs)
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        raise ValueError(f"config {where}: {exc}") from exc
 
 
 def parse_scene(section: dict) -> tuple[SinusoidScene, int]:

@@ -8,12 +8,12 @@ are uniform on (0, pi) and k has a truncated Poisson prior.  Amplitudes and
 noise variance integrate out analytically, leaving the marginal target
 
     log p(k, w | y) = log p(k) + k log(1/pi) - k log(1 + delta2)
-                      - (N/2) log(y' P_k y) + log p(delta2),
+                      - (N/2) log(y' P_k y),
 
-with P_k = I - (delta2/(1+delta2)) D (D'D)^-1 D'.  One sweep applies a
-birth-or-death move, a Metropolis update of every frequency, and optionally
-a delta2 update; birth and update moves mix a uniform draw with a
-piecewise-constant proposal built from the periodogram of y.
+with P_k = I - (delta2/(1+delta2)) D (D'D)^-1 D' and delta2 fixed by the
+configuration.  One sweep applies a birth-or-death move and a Metropolis
+update of every frequency; both mix a uniform draw with a piecewise-constant
+proposal built from the periodogram of y.
 """
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ _MIN_FREQ_SPACING = 1e-6
 _GRAM_ERROR_TOL = 1e-7
 _GRAM_DIAG_RATIO = 1e-3
 _EPS = float(np.finfo(float).eps)
-
-# Inverse-gamma prior on delta2 when it is sampled.
-_DELTA2_PRIOR_SHAPE = 2.0
-_DELTA2_PRIOR_SCALE = 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +92,8 @@ class SinusoidScene:
 
 def build_scene(
     n: int,
-    amplitudes: Sequence = (),
-    omegas: Sequence = (),
+    amplitudes: Sequence[float | tuple[float, float]] = (),
+    omegas: Sequence[float] = (),
     snr_db: float | None = None,
     sigma2: float | None = None,
 ) -> SinusoidScene:
@@ -132,7 +128,9 @@ def build_scene(
 @dataclass(frozen=True)
 class SamplerConfig:
     """Sampler settings.  ``rw_scale`` defaults to 1/(2n) and
-    ``periodogram_grid`` to 4n when left as None."""
+    ``periodogram_grid`` to 4n when left as None.  delta2 is fixed:
+    ``sample_delta2`` remains only so that configs naming it as false still
+    parse, and true is refused."""
 
     n_sweeps: int
     burn_in: int = 0
@@ -156,6 +154,8 @@ class SamplerConfig:
             raise ValueError("lambda_k must be positive")
         if self.delta2 <= 0.0:
             raise ValueError("delta2 must be positive")
+        if self.sample_delta2:
+            raise ValueError("sample_delta2 must be false: delta2 is not sampled")
         if self.rw_scale is not None and self.rw_scale <= 0.0:
             raise ValueError("rw_scale must be positive")
         if self.periodogram_grid is not None and self.periodogram_grid < 2:
@@ -194,15 +194,6 @@ def synthesize_signal(scene: SinusoidScene, seed: int) -> np.ndarray:
     return d @ scene.coefficient_vector() + noise
 
 
-def _log_invgamma_pdf(x: float, shape: float, scale: float) -> float:
-    return (
-        shape * math.log(scale)
-        - math.lgamma(shape)
-        - (shape + 1.0) * math.log(x)
-        - scale / x
-    )
-
-
 def _quadratic_form(
     cols: np.ndarray, y: np.ndarray, yty: float, delta2: float
 ) -> float:
@@ -239,32 +230,23 @@ def _quadratic_form(
 
 
 def _log_target_from_cols(
-    cols: np.ndarray,
-    y: np.ndarray,
-    yty: float,
-    k: int,
-    delta2: float,
-    config: SamplerConfig,
+    cols: np.ndarray, y: np.ndarray, yty: float, k: int, config: SamplerConfig
 ) -> float:
     """Marginal log target given precomputed design columns."""
     n = y.shape[0]
-    q = _quadratic_form(cols, y, yty, delta2) if k else yty
-    out = (
+    q = _quadratic_form(cols, y, yty, config.delta2) if k else yty
+    return (
         k * math.log(config.lambda_k)
         - math.lgamma(k + 1)  # truncated Poisson prior on k, constant dropped
         - k * _LOG_PI
-        - k * math.log1p(delta2)
+        - k * math.log1p(config.delta2)
         - 0.5 * n * math.log(q)
     )
-    if config.sample_delta2:
-        out += _log_invgamma_pdf(delta2, _DELTA2_PRIOR_SHAPE, _DELTA2_PRIOR_SCALE)
-    return out
 
 
-def log_target(
-    k: int, omegas, delta2: float, y: np.ndarray, config: SamplerConfig
-) -> float:
-    """Unnormalized log posterior of (k, omegas, delta2) given y.
+def log_target(k: int, omegas, y: np.ndarray, config: SamplerConfig) -> float:
+    """Unnormalized log posterior of (k, omegas) given y at the configured
+    delta2.
 
     Returns -inf only when frequencies come closer than the spacing guard.
     Numerically near-singular designs are evaluated stably (see
@@ -279,7 +261,7 @@ def log_target(
         return -math.inf
     y = np.asarray(y, dtype=float)
     cols = design_matrix(omegas, y.shape[0])
-    return _log_target_from_cols(cols, y, float(y @ y), k, delta2, config)
+    return _log_target_from_cols(cols, y, float(y @ y), k, config)
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +337,17 @@ class _Engine:
         self.k = 0
         self.omegas = np.empty(0)
         self.cols = np.empty((self.n, 0))
-        self.delta2 = config.delta2
-        self.logf = self._eval(self.cols, 0, self.delta2)
+        self.logf = self._eval(self.cols, 0)
         self.counters: dict[str, list[int]] = {
             "birth": [0, 0],
             "death": [0, 0],
             "update": [0, 0],
         }
-        if config.sample_delta2:
-            self.counters["delta2"] = [0, 0]
 
     # -- target evaluation -------------------------------------------------
 
-    def _eval(self, cols: np.ndarray, k: int, delta2: float) -> float:
-        return _log_target_from_cols(cols, self.y, self.yty, k, delta2, self.config)
+    def _eval(self, cols: np.ndarray, k: int) -> float:
+        return _log_target_from_cols(cols, self.y, self.yty, k, self.config)
 
     def _freq_cols(self, w: float) -> np.ndarray:
         wt = w * np.arange(self.n)
@@ -421,7 +400,7 @@ class _Engine:
             return
         cand_omegas = np.append(self.omegas, w_new)
         cand_cols = np.concatenate([self.cols, self._freq_cols(w_new)], axis=1)
-        logf1 = self._eval(cand_cols, self.k + 1, self.delta2)
+        logf1 = self._eval(cand_cols, self.k + 1)
         log_alpha = _birth_log_alpha(
             self.logf, logf1, self._q_birth(w_new), b_k, 0.5
         )
@@ -437,7 +416,7 @@ class _Engine:
         j = int(self.rng.integers(self.k))
         cand_omegas = np.delete(self.omegas, j)
         cand_cols = np.delete(self.cols, [2 * j, 2 * j + 1], axis=1)
-        logf1 = self._eval(cand_cols, self.k - 1, self.delta2)
+        logf1 = self._eval(cand_cols, self.k - 1)
         log_alpha = _death_log_alpha(
             self.logf, logf1, self._q_birth(self.omegas[j]), d_k, 0.5
         )
@@ -460,7 +439,7 @@ class _Engine:
                 continue
             cand_cols = self.cols.copy()
             cand_cols[:, 2 * j : 2 * j + 2] = self._freq_cols(w_new)
-            logf1 = self._eval(cand_cols, self.k, self.delta2)
+            logf1 = self._eval(cand_cols, self.k)
             log_alpha = _update_log_alpha(
                 self.logf,
                 logf1,
@@ -473,22 +452,9 @@ class _Engine:
                 self.cols = cand_cols
                 self.logf = logf1
 
-    def _delta2_move(self) -> None:
-        self.counters["delta2"][0] += 1
-        d2_new = self.delta2 * math.exp(0.3 * self.rng.normal())
-        logf1 = self._eval(self.cols, self.k, d2_new)
-        # log-scale random walk: Jacobian contributes log(d2'/d2)
-        log_alpha = logf1 - self.logf + math.log(d2_new / self.delta2)
-        if self.rng.random() < math.exp(min(0.0, log_alpha)):
-            self.counters["delta2"][1] += 1
-            self.delta2 = d2_new
-            self.logf = logf1
-
     def sweep(self) -> None:
         self._dimension_move()
         self._update_pass()
-        if self.config.sample_delta2:
-            self._delta2_move()
         if not 0 <= self.k <= self.config.k_max:
             raise RuntimeError(f"chain left 0 <= k <= k_max: k = {self.k}")
         if not all(0.0 < w < math.pi for w in self.omegas):

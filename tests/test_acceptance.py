@@ -142,7 +142,7 @@ def test_flagship_chains_match_grid_oracle(flagship_runs, flagship_oracles):
         p3, middle = chain_resolved_middle(run["samples"])
         yty = float(y @ y)
         qs = np.array([
-            target_q(s.k, s.theta, sampler.delta2, y, sampler)
+            target_q(s.k, s.theta, y, sampler)
             for s in run["samples"].samples
         ])
         in_bounds = int(np.sum(
@@ -348,7 +348,7 @@ def test_criterion_06_marginalized_target_oracle():
         cfg = SamplerConfig(
             n_sweeps=10, k_max=4, lambda_k=config.lambda_k, delta2=delta2
         )
-        predicted = oracle_log_target(y, omega, delta2, cfg)
+        predicted = oracle_log_target(y, omega, cfg)
         numeric = brute_force_log_evidence(y, omega, delta2)
         worst = max(worst, abs(predicted - numeric))
     ok = worst < 1e-3

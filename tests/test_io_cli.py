@@ -1,8 +1,11 @@
 """File formats, round-trips, CLI subcommands, and the pipeline bundle."""
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transdim import (
@@ -24,7 +27,7 @@ from transdim import (
 )
 from transdim import io as tdio
 from transdim import pipeline as tdpipeline
-from transdim.cli import main
+from transdim.cli import _exit_on_error, main
 from transdim.pipeline import STAGE_EXIT_CODES, parse_pipeline_config, run_pipeline
 
 from test_acceptance import flagship_config
@@ -330,12 +333,12 @@ def test_config_sections_default_to_the_dataclasses(n_sweeps):
 
 
 def test_config_section_types_and_required_key():
-    cfg = tdio.parse_sampler_config(
-        {"n_sweeps": "40", "lambda_k": 3, "sample_delta2": 1, "rw_scale": 0.01}
-    )
-    assert (cfg.n_sweeps, cfg.lambda_k, cfg.sample_delta2, cfg.rw_scale) == (40, 3.0, True, 0.01)
+    cfg = tdio.parse_sampler_config({"n_sweeps": "40", "lambda_k": 3, "rw_scale": 0.01})
+    assert (cfg.n_sweeps, cfg.lambda_k, cfg.rw_scale) == (40, 3.0, 0.01)
     assert type(cfg.lambda_k) is float
-    with pytest.raises(KeyError, match="n_sweeps"):
+    with pytest.raises(ValueError, match="section 'sampler': sample_delta2 must be false"):
+        tdio.parse_sampler_config({"n_sweeps": 40, "sample_delta2": 1})
+    with pytest.raises(KeyError, match="section 'sampler': missing required key 'n_sweeps'"):
         tdio.parse_sampler_config({"burn_in": 5})
 
 
@@ -346,7 +349,10 @@ def test_config_section_types_and_required_key():
      ("sampler", "n_sweeps", True), ("sampler", "rw_scale", "fast"),
      ("sampler", "periodogram_grid", 100.5), ("sem", "n_iterations", "6.5"),
      ("sem", "init_percentile", None), ("scene", "n", 64.5), ("scene", "seed", "x"),
-     ("scene", "snr_db", "7 dB"), ("report", "bins", 2.5)],
+     ("scene", "snr_db", "7 dB"), ("report", "bins", 2.5),
+     ("scene", "snr_db", math.nan), ("sampler", "delta2", math.inf),
+     ("sampler", "lambda_k", -math.inf), ("sampler", "lambda_k", 10**400),
+     ("sampler", "delta2", "Infinity")],
 )
 def test_config_rejects_lossy_values(section, key, value):
     doc = json.loads(json.dumps(SMALL_CONFIG))
@@ -416,9 +422,20 @@ def test_config_rejects_unknown_keys(section, key):
 
 @pytest.mark.parametrize(
     "key, value", [("omegas", 0.63), ("amplitudes", 20.0), ("omegas", "0.63"),
-                   ("amplitudes", {"a": 1.0}), ("omegas", None)],
+                   ("amplitudes", {"a": 1.0}), ("omegas", None),
+                   ("omegas", [None, 0.68, 0.73]), ("omegas", [[0.63], 0.68, 0.73]),
+                   ("omegas", ["0.63", 0.68, 0.73]), ("omegas", [True, 0.68, 0.73]),
+                   ("omegas", [math.nan, 0.68, 0.73]),
+                   ("amplitudes", [[20.0], 6.32, 20.0]),
+                   ("amplitudes", [[20.0, 0.0, 1.0], 6.32, 20.0]),
+                   ("amplitudes", [[20.0, None], 6.32, 20.0]),
+                   ("amplitudes", [20.0, False, 20.0]),
+                   ("amplitudes", [20.0, 10**400, 20.0])],
     ids=["omegas-float", "amplitudes-float", "omegas-str", "amplitudes-object",
-         "omegas-null"],
+         "omegas-null", "omegas-null-entry", "omegas-list-entry", "omegas-str-entry",
+         "omegas-bool-entry", "omegas-nan-entry", "amplitudes-short-pair",
+         "amplitudes-long-pair", "amplitudes-null-in-pair", "amplitudes-bool-entry",
+         "amplitudes-overflow-entry"],
 )
 def test_config_rejects_non_list_values(key, value):
     doc = json.loads(json.dumps(SMALL_CONFIG))
@@ -427,19 +444,58 @@ def test_config_rejects_non_list_values(key, value):
         parse_pipeline_config(doc)
 
 
-def test_cli_non_list_config_exits_1_without_traceback(tmp_path):
-    bad = dict(SMALL_CONFIG, scene=dict(SMALL_CONFIG["scene"], omegas=0.63))
+def run_cli_pipeline(tmp_path, doc):
+    """``python -m transdim.cli pipeline`` on ``doc`` in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    r = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "transdim.cli", "pipeline",
-         "--config", str(write_config(tmp_path, bad)), "--out", str(tmp_path / "x")],
+         "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "x")],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_cli_non_list_config_exits_1_without_traceback(tmp_path):
+    bad = dict(SMALL_CONFIG, scene=dict(SMALL_CONFIG["scene"], omegas=0.63))
+    r = run_cli_pipeline(tmp_path, bad)
     assert r.returncode == 1, r.stderr
     assert "key 'omegas' needs a list, got 0.63" in r.stderr
     assert "Traceback" not in r.stderr
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [("scene", "omegas", [None, 0.68, 0.73],
+      "section 'scene': key 'omegas' needs a list of finite numbers, got [None, 0.68, 0.73]"),
+     ("sampler", "sample_delta2", True,
+      "section 'sampler': sample_delta2 must be false")],
+    ids=["omegas-null-entry", "sample_delta2-true"],
+)
+def test_cli_bad_config_value_exits_1_without_traceback(tmp_path, section, key, value, message):
+    bad = dict(SMALL_CONFIG, **{section: dict(SMALL_CONFIG[section], **{key: value})})
+    r = run_cli_pipeline(tmp_path, bad)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error: config ") and message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [("scene", "n", 10**30, "Maximum allowed size exceeded"),
+     ("scene", "n", 10**15, "Unable to allocate"),
+     ("scene", "n", 0, "n must be >= 1"),
+     ("scene", "snr_db", 1e30, ""),  # 10^(snr_db/10) overflows
+     ("sampler", "burn_in", 5000, "need n_sweeps > burn_in"),
+     ("sem", "init_percentile", 1.5, "init_percentile must lie in (0, 1)"),
+     ("report", "bins", 1, "bins must be >= 2")],
+)
+def test_config_value_errors_name_their_section(section, key, value, message):
+    doc = json.loads(json.dumps(SMALL_CONFIG))
+    doc[section][key] = value
+    with pytest.raises(ValueError, match=f"^config section '{section}': {re.escape(message)}"):
+        parse_pipeline_config(doc)
 
 
 @pytest.mark.parametrize("section", ["scene", "sampler", "sem", "report", None])
@@ -461,10 +517,70 @@ def test_load_config_requires_object(tmp_path):
         tdio.load_config(path)
 
 
+SHIPPED_CONFIGS = ("configs/three_sinusoids.json", "perfbench/dense_scene.json")
+
+
 def test_shipped_configs_parse():
-    for path in ("configs/three_sinusoids.json", "perfbench/dense_scene.json"):
+    for path in SHIPPED_CONFIGS:
         parse_pipeline_config(tdio.load_config(ROOT / path))
     parse_pipeline_config(flagship_config(0))
+
+
+# Values of every JSON type.  Integers stay small or lie beyond what a 64-bit
+# address space can hold: building a scene of n between about 1e8 and 1e13
+# samples allocates and fills an n-row design matrix, which is slow and can
+# exhaust memory, while 1e15 is refused at once.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 300)
+    | st.sampled_from([10**15, 10**30, -10**30, 2**64, 10**400])
+    | st.floats(-1e3, 1e3) | st.sampled_from([math.nan, math.inf, -math.inf, 1e300])
+    | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_shipped_config(draw):
+    """A shipped config with one to three keys dropped, added or replaced.
+    Returns the document and the names its error message may give: the
+    edited sections, or "top level" and the edited top-level keys."""
+    doc = tdio.load_config(ROOT / draw(st.sampled_from(SHIPPED_CONFIGS)))
+    names = set()
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from([None, "scene", "sampler", "sem", "report"]))
+        target = doc if where is None else doc.get(where)
+        if not isinstance(target, dict):  # an earlier edit dropped or replaced it
+            continue
+        new_key = st.text(max_size=6)
+        key = draw(st.sampled_from(sorted(target)) | new_key if target else new_key)
+        if key in target and draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(JSON_VALUES)
+        names |= {"top level", f"'{key}'"} if where is None else {f"section '{where}'"}
+    return doc, names
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_shipped_config())
+def test_mutated_shipped_configs_parse_or_exit_1(tmp_path_factory, mutated):
+    """Every edit of a shipped config either parses or fails as the CLI's
+    exit 1 with a message naming an edited section; nothing else escapes."""
+    doc, names = mutated
+    path = tmp_path_factory.getbasetemp() / "mutated_config.json"
+    path.write_text(json.dumps(doc))
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            _exit_on_error(lambda: parse_pipeline_config(tdio.load_config(path)))()
+    except SystemExit as exc:
+        message = stderr.getvalue()
+        assert exc.code == 1, message
+        assert message.startswith("error: ") and any(n in message for n in names), message
 
 
 DEGENERATE_Y = {"all-zero": [0.0] * 64, "constant": [2.5] * 64,

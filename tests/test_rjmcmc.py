@@ -94,12 +94,12 @@ def brute_force_log_evidence(y: np.ndarray, omega: float, delta2: float) -> floa
     return math.log(total)
 
 
-def oracle_log_target(y, omega, delta2, config):
+def oracle_log_target(y, omega, config):
     """Predicted brute-force value from the closed-form target: removes the
     prior-on-k and frequency-prior terms and restores the constants dropped
     by the marginalization."""
     n = y.shape[0]
-    lt = log_target(1, [omega], delta2, y, config)
+    lt = log_target(1, [omega], y, config)
     lt -= math.log(config.lambda_k) - math.lgamma(2.0)  # p(k=1) factor
     lt -= math.log(1.0 / math.pi)  # frequency prior
     lt += math.lgamma(n / 2.0) - 0.5 * n * math.log(math.pi)
@@ -116,7 +116,7 @@ def test_log_target_matches_numerical_integration(case):
         omega * np.arange(n)
     )
     config = SamplerConfig(n_sweeps=10, k_max=4, delta2=delta2)
-    predicted = oracle_log_target(y, omega, delta2, config)
+    predicted = oracle_log_target(y, omega, config)
     numeric = brute_force_log_evidence(y, omega, delta2)
     assert predicted == pytest.approx(numeric, abs=1e-3)
 
@@ -208,39 +208,39 @@ def test_log_target_k0():
     expected = math.log(config.lambda_k) * 0 - math.lgamma(1) - 4.0 * math.log(
         float(y @ y)
     )
-    assert log_target(0, [], config.delta2, y, config) == pytest.approx(expected)
+    assert log_target(0, [], y, config) == pytest.approx(expected)
 
 
 def test_log_target_duplicate_guard():
     rng = np.random.default_rng(1)
     y = rng.normal(size=16)
     config = SamplerConfig(n_sweeps=10)
-    assert log_target(2, [0.5, 0.5 + 1e-9], config.delta2, y, config) == -math.inf
+    assert log_target(2, [0.5, 0.5 + 1e-9], y, config) == -math.inf
 
 
-def _log_target_prior(k: int, delta2: float, config: SamplerConfig) -> float:
+def _log_target_prior(k: int, config: SamplerConfig) -> float:
     """The terms of the closed-form target that do not involve y."""
     return (
         k * math.log(config.lambda_k)
         - math.lgamma(k + 1)
         - k * math.log(math.pi)
-        - k * math.log1p(delta2)
+        - k * math.log1p(config.delta2)
     )
 
 
-def target_q(k, omegas, delta2, y, config) -> float:
+def target_q(k, omegas, y, config) -> float:
     """y'P_k y recovered from ``log_target`` by inverting its closed form."""
-    lt = log_target(k, omegas, delta2, y, config)
-    return math.exp(2.0 * (_log_target_prior(k, delta2, config) - lt) / y.shape[0])
+    lt = log_target(k, omegas, y, config)
+    return math.exp(2.0 * (_log_target_prior(k, config) - lt) / y.shape[0])
 
 
-def reference_log_target(k, omegas, delta2, y, config) -> float:
+def reference_log_target(k, omegas, y, config) -> float:
     """The closed-form target with y'D(D'D)^-1 D'y taken from the left
     singular vectors of D, which never forms D'D."""
     u = np.linalg.svd(design_matrix(omegas, y.shape[0]), full_matrices=False)[0]
     proj = u.T @ y
-    q = float(y @ y) - delta2 / (1.0 + delta2) * float(proj @ proj)
-    return _log_target_prior(k, delta2, config) - 0.5 * y.shape[0] * math.log(q)
+    q = float(y @ y) - config.delta2 / (1.0 + config.delta2) * float(proj @ proj)
+    return _log_target_prior(k, config) - 0.5 * y.shape[0] * math.log(q)
 
 
 # Where the flagship seed-8 chain (noise seed 8, sampler seed 1008) froze for
@@ -257,9 +257,9 @@ SEED8_FROZEN_OMEGAS = (
 def test_log_target_seed8_frozen_state():
     y = synthesize_signal(flagship_scene(), seed=8)
     config = SamplerConfig(n_sweeps=10, lambda_k=2.0, delta2=10.0)
-    reference = reference_log_target(8, SEED8_FROZEN_OMEGAS, 10.0, y, config)
+    reference = reference_log_target(8, SEED8_FROZEN_OMEGAS, y, config)
     assert reference == pytest.approx(-314.39, abs=0.01)
-    got = log_target(8, SEED8_FROZEN_OMEGAS, 10.0, y, config)
+    got = log_target(8, SEED8_FROZEN_OMEGAS, y, config)
     assert got == pytest.approx(reference, rel=1e-6)
 
 
@@ -279,16 +279,16 @@ def test_log_target_clustered_frequencies(k, center, offsets, noise_seed, delta2
     y = synthesize_signal(flagship_scene(), seed=noise_seed)
     omegas = [center + o for o in offsets[:k]]
     config = SamplerConfig(n_sweeps=10, lambda_k=2.0, delta2=delta2)
-    got = log_target(k, omegas, delta2, y, config)
+    got = log_target(k, omegas, y, config)
     if np.min(np.diff(np.sort(omegas))) < _MIN_FREQ_SPACING:
         assert got == -math.inf
         return
     assert math.isfinite(got)
     yty = float(y @ y)
-    q = target_q(k, omegas, delta2, y, config)
+    q = target_q(k, omegas, y, config)
     assert yty / (1.0 + delta2) * (1 - 1e-12) <= q <= yty * (1 + 1e-12)
     assert got == pytest.approx(
-        reference_log_target(k, omegas, delta2, y, config), rel=1e-6
+        reference_log_target(k, omegas, y, config), rel=1e-6
     )
 
 
@@ -380,8 +380,8 @@ def grid_posterior_pk(
     Tuples that repeat a cell are left out (a set of relative measure
     O(cell width)).
     """
-    if not 0 <= k_top <= 3 or config.sample_delta2:
-        raise ValueError("the grid oracle covers k <= 3 at fixed delta2")
+    if not 0 <= k_top <= 3:
+        raise ValueError("the grid oracle covers k <= 3")
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     yty = float(y @ y)
@@ -460,7 +460,7 @@ def set_chain_state(engine, k, omegas):
     engine.k = k
     engine.omegas = np.array(omegas, dtype=float)
     engine.cols = design_matrix(omegas, engine.n) if k else np.empty((engine.n, 0))
-    engine.logf = log_target(k, omegas, engine.delta2, engine.y, engine.config)
+    engine.logf = log_target(k, omegas, engine.y, engine.config)
 
 
 def test_invariance_from_oracle_start(noise_chain_setup):
@@ -512,7 +512,7 @@ def test_single_sweep_is_deterministic_and_valid():
         engine = _Engine(y, config, np.random.default_rng(9))
         engine.sweep()
         states.append((engine.k, engine.omegas.tolist(), engine.logf))
-        assert engine.logf == log_target(engine.k, engine.omegas, engine.delta2, y, config)
+        assert engine.logf == log_target(engine.k, engine.omegas, y, config)
     assert states[0] == states[1]
     assert math.isfinite(states[0][2])
 
